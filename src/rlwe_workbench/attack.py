@@ -25,20 +25,22 @@ Default thresholds are family-wise: a run makes q (coset) or q^2 (two-bin)
 independent-ish tests, so per-test significance is scaled to keep the
 whole-run false-flag probability near 0.01.  Pass an explicit beta_chi to
 override (e.g. the single-test 0.99 quantile critical_value(q-1, 0.99)).
+
+Both attacks score every guess in the calling process: a process pool
+measured slower than one worker at every size tried, up to q = 1051.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ffield import FieldCtx
+from .ffield import FieldCtx, power_table, root_of_unity
 from .oracle import SampleSet
 from .rings import FamilyRing, reduce_mod_prime_batch
 
@@ -80,13 +82,10 @@ class AttackConfig:
     """beta_chi and min_samples default per-attack when left as None."""
     beta_chi: Optional[float] = None
     min_samples: Optional[int] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.beta_chi is not None and not self.beta_chi > 0:
             raise ValueError("beta_chi must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -130,12 +129,11 @@ def _rho_batch(samples: SampleSet, ctx: FieldCtx):
 
 
 def _inverse_table(q: int) -> np.ndarray:
-    """inv[w] = w^(-1) mod q for w in 1..q-1 (inv[0] unused, set to 0)."""
+    """inv[w] = w^(-1) mod q for w in 1..q-1 (inv[0] unused, set to 0),
+    from one table of generator powers: inv[g^k] = g^(q-1-k)."""
+    gpow = power_table(root_of_unity(q - 1, q), q - 1, q)
     inv = np.zeros(q, dtype=np.int64)
-    inv[1] = 1
-    for w in range(2, q):
-        # classic recurrence: inv[w] = -(q//w) * inv[q % w] mod q
-        inv[w] = (q - q // w) * inv[q % w] % q
+    inv[gpow] = gpow[-np.arange(q - 1) % (q - 1)]
     return inv
 
 
@@ -144,16 +142,6 @@ def _inverse_table(q: int) -> np.ndarray:
 def default_beta_coset(q: int) -> float:
     """Family-wise threshold: per-coset significance 0.01/q over q cosets."""
     return critical_value(q - 1, 1.0 - 0.01 / q)
-
-
-def _coset_chunk(args):
-    x, g, q, lo, hi = args
-    exp = len(x) / q
-    out = np.empty(hi - lo, dtype=np.float64)
-    for i, tau in enumerate(range(lo, hi)):
-        counts = np.bincount((x - tau * g) % q, minlength=q)
-        out[i] = float(((counts - exp) ** 2).sum() / exp)
-    return lo, out
 
 
 def coset_attack(samples: SampleSet, ctx: FieldCtx,
@@ -175,15 +163,11 @@ def coset_attack(samples: SampleSet, ctx: FieldCtx,
     ainv = inv[a2[keep] % q]
     x = b2[keep] % q * ainv % q
     g = a1[keep] % q * ainv % q
+    exp = usable / q
     chi2 = np.empty(q, dtype=np.float64)
-    jobs = _partition(q, config.workers)
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_coset_chunk, [(x, g, q, lo, hi) for lo, hi in jobs]))
-    else:
-        parts = [_coset_chunk((x, g, q, 0, q))]
-    for lo, vals in parts:
-        chi2[lo:lo + len(vals)] = vals
+    for tau in range(q):
+        counts = np.bincount((x - tau * g) % q, minlength=q)
+        chi2[tau] = float(((counts - exp) ** 2).sum() / exp)
     candidates = []
     for tau in np.nonzero(chi2 > beta)[0]:
         counts = np.bincount((x - int(tau) * g) % q, minlength=q)
@@ -236,23 +220,6 @@ def default_beta_two_bin(q: int, sample_count: int) -> float:
     return float(_two_bin_stat(c_hi - 0.5, sample_count, q))
 
 
-def _two_bin_chunk(args):
-    a1, a2, b2, inv, q, lo, hi = args
-    nz = a1 % q != 0
-    a1inv = inv[a1[nz] % q]
-    b2nz, a2nz = b2[nz] % q, a2[nz] % q
-    b2z, a2z = b2[~nz] % q, a2[~nz] % q
-    counts = np.empty((hi - lo, q), dtype=np.int64)
-    for i, u in enumerate(range(lo, hi)):
-        # records with a1 != 0: bin-1 guess needs v = (b2 - u*a2)/a1
-        v = (b2nz - u * a2nz) % q * a1inv % q
-        row = np.bincount(v, minlength=q)
-        # records with a1 == 0: in bin 1 iff b2 == u*a2, for every v
-        row += int(((b2z - u * a2z) % q == 0).sum())
-        counts[i] = row
-    return lo, counts
-
-
 def two_bin_attack(samples: SampleSet, ctx: FieldCtx,
                    config: Optional[AttackConfig] = None) -> AttackOutcome:
     """All q^2 guesses g, two bins per guess: residual in F_q or not."""
@@ -268,26 +235,19 @@ def two_bin_attack(samples: SampleSet, ctx: FieldCtx,
     a1, a2, _, b2 = _rho_batch(samples, ctx)
     beta = (config.beta_chi if config.beta_chi is not None
             else default_beta_two_bin(q, m))
-    inv = _inverse_table(q)
+    nz = a1 % q != 0
+    a1inv = _inverse_table(q)[a1[nz] % q]
+    b2nz, a2nz = b2[nz] % q, a2[nz] % q
+    b2z, a2z = b2[~nz] % q, a2[~nz] % q
     counts = np.empty((q, q), dtype=np.int64)
-    jobs = _partition(q, config.workers)
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_two_bin_chunk,
-                                  [(a1, a2, b2, inv, q, lo, hi) for lo, hi in jobs]))
-    else:
-        parts = [_two_bin_chunk((a1, a2, b2, inv, q, 0, q))]
-    for lo, rows in parts:
-        counts[lo:lo + len(rows)] = rows
+    for u in range(q):
+        # records with a1 != 0: bin-1 guess needs v = (b2 - u*a2)/a1
+        counts[u] = np.bincount((b2nz - u * a2nz) % q * a1inv % q, minlength=q)
+        # records with a1 == 0: in bin 1 iff b2 == u*a2, for every v
+        counts[u] += int(((b2z - u * a2z) % q == 0).sum())
     chi2 = _two_bin_stat(counts, m, q).reshape(-1)
     candidates = [(int(i) // q, int(i) % q) for i in np.nonzero(chi2 > beta)[0]]
     verdict, cand = _verdict(candidates)
     return AttackOutcome(verdict, cand, chi2, m, q * q,
                          (time.perf_counter() - t0) * 1e3, candidates, beta)
 
-
-def _partition(n: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous [lo, hi) chunks covering range(n), at most `workers` of them."""
-    k = max(1, min(workers, n))
-    step = -(-n // k)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import family as family_mod
 from . import oracle as oracle_mod
@@ -30,7 +31,7 @@ from .estimator import empirical_uniformity, epsilon, epsilon_deg2
 from .ffield import FieldCtx
 from .oracle import RlweInstance, SampleFileError
 from .rings import CycloRing
-from .sampling import BinomialSpec, GaussianSpec
+from .sampling import BinomialSpec, FidelityWarning, GaussianSpec
 
 
 @contextlib.contextmanager
@@ -101,7 +102,14 @@ def cmd_gen_samples(args) -> int:
     if args.uniform:
         sample_set = oracle_mod.draw_uniform(instance, count)
     else:
-        sample_set = oracle_mod.draw_rlwe(instance, count, workers=args.workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", FidelityWarning)
+            sample_set = oracle_mod.draw_rlwe(instance, count, workers=args.workers)
+        for w in caught:
+            if issubclass(w.category, FidelityWarning):
+                _note("warning: %s" % w.message)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     with _out_stream(args.out) as fh:
         oracle_mod.dump(sample_set, fh)
     _note("wrote %d %s record(s) (seed %d)"
@@ -117,13 +125,11 @@ def cmd_attack(args) -> int:
     if header["ring_kind"] != "family":
         raise ValueError("attacks need a residue-degree-2 prime: family-ring samples only")
     ctx = FieldCtx.for_family(header["p"], header["d"], header["q"])
-    config = AttackConfig(beta_chi=args.beta_chi, min_samples=args.min_samples,
-                          workers=args.workers)
+    config = AttackConfig(beta_chi=args.beta_chi, min_samples=args.min_samples)
     run = coset_attack if args.attack == "coset" else two_bin_attack
     outcome = run(sample_set, ctx, config)
     with _out_stream(args.out) as fh:
-        json.dump(outcome.report(), fh)
-        fh.write("\n")
+        fh.write(json.dumps(outcome.report()) + "\n")
     _note("verdict: %s%s  (%d samples used, %d guesses, %.1f ms)"
           % (outcome.verdict,
              "" if outcome.candidate is None else " candidate=%s" % (outcome.candidate,),
@@ -135,7 +141,7 @@ def cmd_attack(args) -> int:
 
 def cmd_estimate(args) -> int:
     if args.degree == 1:
-        report = epsilon(args.m, args.q, args.k, workers=args.workers)
+        report = epsilon(args.m, args.q, args.k)
     else:
         report = epsilon_deg2(args.m, args.q, args.k, workers=args.workers,
                               long_run=args.long_run)
@@ -201,7 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     at.add_argument("--beta-chi", type=float, help="chi-square flag threshold "
                     "(default: family-wise per attack)")
     at.add_argument("--min-samples", type=int, help="usable-sample floor (default 5q)")
-    at.add_argument("--workers", type=int, default=_default_workers())
+    at.add_argument("--workers", type=int, default=_default_workers(),
+                    help="accepted for compatibility; the attacks run in one process")
     at.add_argument("--out", help="JSON report path (default stdout)")
     at.set_defaults(func=cmd_attack)
 

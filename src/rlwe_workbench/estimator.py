@@ -35,6 +35,12 @@ m not dividing q-1) and puts a trace inside the cosine:
 term(y) = prod_{i=1}^{n} cos(pi * Tr(alpha^i y) / q)^k over y != 0 in
 F_{q^2}, with Tr(u + v*sqrt(w)) = 2u.  Same orbit structure, (q^2-1)/2
 cosine evaluations; instances with q^2 > 1.5e6 sit behind long_run=True.
+
+The field kit comes from the ffield module: root_of_unity and power_table
+in F_q, and in F_{q^2} = FieldCtx(q) (w is its d_red, the smallest
+nonresidue) fq2_generator and fq2_power_table, whose (u, v) arrays keep the
+orbit walk vectorised.  Only the degree-2 orbit sum fans out over a process
+pool (epsilon_deg2's `workers`), the one loop here measured to gain from it.
 """
 
 from __future__ import annotations
@@ -43,12 +49,13 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .attack import critical_value
-from .ffield import is_prime, smallest_nonresidue
+from .ffield import (FieldCtx, fq2_generator, fq2_power_table, is_prime, power_table,
+                     root_of_unity)
 from .rings import CycloRing, reduce_mod_prime_batch
 from .sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
 
@@ -74,28 +81,6 @@ def nu_hat(y: int, q: int, k: int) -> float:
     return math.cos(math.pi * (y % q) / q) ** k
 
 
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _generator_mod_q(q: int) -> int:
-    factors = _prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
-            return g
-    raise ValueError("no generator mod %d (q not prime?)" % q)
-
-
 def _has_order_m(alpha: int, m: int, q: int) -> bool:
     # for 2-power m: order | m and order does not divide m/2
     return pow(alpha, m, q) == 1 and pow(alpha, m // 2, q) == q - 1
@@ -113,20 +98,10 @@ def _logsumexp2(logs: np.ndarray) -> float:
 
 def _deg1_orbit_logs(m: int, q: int, k: int) -> np.ndarray:
     """log2 of the per-coset y-term, one entry per coset of H in F_q*."""
-    n = m // 2
-    g = _generator_mod_q(q)
+    g = root_of_unity(q - 1, q)
     t = (q - 1) // m
-    reps = np.empty(t, dtype=np.int64)
-    r = 1
-    for j in range(t):
-        reps[j] = r
-        r = r * g % q
-    alpha = pow(g, t, q)
-    apow = np.empty(n, dtype=np.int64)
-    a = 1
-    for i in range(n):
-        apow[i] = a
-        a = a * alpha % q
+    reps = power_table(g, t, q)
+    apow = power_table(pow(g, t, q), m // 2, q)
     args = apow[:, None] * reps[None, :] % q
     # q odd => no argument hits q/2, so no cosine is exactly 0
     logs = np.log2(np.abs(np.cos(np.pi * args / q))).sum(axis=0)
@@ -187,7 +162,7 @@ def _bound_or_none(m: int, q: int, k: int) -> Optional[float]:
     return theoretical_bound(m, q, k) if q < m * m else None
 
 
-def epsilon(m: int, q: int, k: int, workers: int = 1) -> EstimateReport:
+def epsilon(m: int, q: int, k: int) -> EstimateReport:
     """eps(m, q, k) maximized over all phi(m) primitive m-th roots mod q."""
     t0 = time.perf_counter()
     _check_mk(m, k)
@@ -196,8 +171,7 @@ def epsilon(m: int, q: int, k: int, workers: int = 1) -> EstimateReport:
     if (q - 1) % m != 0:
         raise ValueError("no m-th roots of unity: q=%d is not 1 mod m=%d" % (q, m))
     log2_eps = _assemble_log2_eps(m, _deg1_orbit_logs(m, q, k))
-    g = _generator_mod_q(q)
-    alpha0 = pow(g, (q - 1) // m, q)
+    alpha0 = pow(root_of_unity(q - 1, q), (q - 1) // m, q)
     per_root = {pow(alpha0, j, q): log2_eps for j in range(1, m, 2)}
     return EstimateReport(m, q, k, 1, per_root, log2_eps,
                           _bound_or_none(m, q, k), _beta_gauss(m, q),
@@ -221,32 +195,6 @@ def nearest_admissible_q_deg2(m: int, q0: int) -> int:
             if cand > 2 and deg2_admissible(m, cand):
                 return cand
     raise ValueError("no admissible q near %d for m=%d" % (q0, m))
-
-
-def _fq2_mul(x, y, q: int, w: int):
-    return ((x[0] * y[0] + x[1] * y[1] % q * w) % q,
-            (x[0] * y[1] + x[1] * y[0]) % q)
-
-
-def _fq2_pow(x, e: int, q: int, w: int):
-    out, base = (1, 0), x
-    while e:
-        if e & 1:
-            out = _fq2_mul(out, base, q, w)
-        base = _fq2_mul(base, base, q, w)
-        e >>= 1
-    return out
-
-
-def _generator_fq2(q: int, w: int):
-    order = q * q - 1
-    factors = _prime_factors(order)
-    for v in range(1, q):
-        for u in range(q):
-            g = (u, v)
-            if all(_fq2_pow(g, order // f, q, w) != (1, 0) for f in factors):
-                return g
-    raise ValueError("no generator found for F_{%d^2}" % q)
 
 
 def _deg2_chunk(args):
@@ -273,25 +221,14 @@ def epsilon_deg2(m: int, q: int, k: int, workers: int = 1,
     if q * q > _LONG_RUN_Q2 and not long_run:
         raise ValueError("q^2 = %d exceeds the desk-scale budget; pass long_run=True"
                          % (q * q))
-    w = smallest_nonresidue(q)
-    n = m // 2
-    order = q * q - 1
-    t = order // m
-    g = _generator_fq2(q, w)
-    u = np.empty(t, dtype=np.int64)
-    v = np.empty(t, dtype=np.int64)
-    r = (1, 0)
-    for j in range(t):
-        u[j], v[j] = r
-        r = _fq2_mul(r, g, q, w)
-    alpha = _fq2_pow(g, t, q, w)
-    cs, ds = [], []
-    a = alpha
-    for _ in range(n):  # alpha^1 .. alpha^n
-        cs.append(a[0])
-        ds.append(a[1])
-        a = _fq2_mul(a, alpha, q, w)
-    cs, ds = np.array(cs, dtype=np.int64), np.array(ds, dtype=np.int64)
+    ctx = FieldCtx(q)  # d_red = smallest nonresidue w
+    w = ctx.d_red
+    t = (q * q - 1) // m
+    g = fq2_generator(ctx)
+    u, v = fq2_power_table(g, t)
+    # alpha = g^t has order m; apow[j] = alpha^j for j < m
+    apow = fq2_power_table(g ** t, m)
+    cs, ds = apow[0][1:m // 2 + 1], apow[1][1:m // 2 + 1]  # alpha^1 .. alpha^n
     if workers > 1 and t >= 4 * workers:
         spans = np.array_split(np.arange(t), workers)
         jobs = [(u[s], v[s], cs, ds, q, w, k) for s in spans if len(s)]
@@ -301,12 +238,9 @@ def epsilon_deg2(m: int, q: int, k: int, workers: int = 1,
     else:
         orbit_logs = _deg2_chunk((u, v, cs, ds, q, w, k))
     log2_eps = _assemble_log2_eps(m, orbit_logs)
-    per_root = {}
-    alpha_sq = _fq2_mul(alpha, alpha, q, w)
-    a = alpha
-    for _ in range(m // 2):  # alpha^j for odd j: the phi(m) order-m roots
-        per_root[a] = log2_eps
-        a = _fq2_mul(a, alpha_sq, q, w)
+    # alpha^j for odd j: the phi(m) order-m roots
+    per_root = {(int(a), int(b)): log2_eps
+                for a, b in zip(apow[0][1::2], apow[1][1::2])}
     return EstimateReport(m, q, k, 2, per_root, log2_eps,
                           _bound_or_none(m, q, k), _beta_gauss(m, q),
                           (time.perf_counter() - t0) * 1e3)
@@ -356,8 +290,7 @@ def brute_force_distance(m: int, q: int, k: int) -> float:
     """
     if not (is_prime(q) and (q - 1) % m == 0):
         raise ValueError("need q prime with q = 1 (mod m); got q=%d, m=%d" % (q, m))
-    g = _generator_mod_q(q)
-    alpha0 = pow(g, (q - 1) // m, q)
+    alpha0 = pow(root_of_unity(q - 1, q), (q - 1) // m, q)
     n = m // 2
     total = 2 ** (k * n)
     best = 0.0
@@ -374,11 +307,7 @@ def gauss_sum_check(m: int, q: int, alpha: int) -> float:
         raise ValueError("m=%d is not a power of 2 >= 2" % m)
     if not _has_order_m(alpha % q, m, q):
         raise ValueError("alpha=%d does not have exact order %d mod %d" % (alpha, m, q))
-    apow = np.empty(m, dtype=np.int64)
-    a = 1
-    for j in range(m):
-        apow[j] = a
-        a = a * alpha % q
+    apow = power_table(alpha % q, m, q)
     best = 0.0
     ys = np.arange(1, q, dtype=np.int64)
     for lo in range(0, len(ys), 4096):

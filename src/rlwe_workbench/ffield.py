@@ -4,11 +4,18 @@ The extension is realized concretely as F_q[x]/(x^2 - d_red) for a quadratic
 nonresidue d_red, so elements are coordinate pairs (u, v) = u + v*sqrt(d_red).
 Everything here is exact integer arithmetic; q stays well inside a machine
 word for every parameter set this project touches (q <= ~11000).
+
+This module is the one home of the field kit the attacks and the estimator
+share: roots of unity mod q, their power tables, and F_{q^2} arithmetic,
+including a generator of F_{q^2}^* and power tables over (u, v) arrays.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -181,20 +188,91 @@ class Fq2Elem:
         return "Fq2Elem(%d + %d*sqrt(%d) mod %d)" % (self.u, self.v, self.ctx.d_red, self.ctx.q)
 
 
-def find_order_p_element(p: int, ctx: FieldCtx) -> int:
-    """An element of exact multiplicative order p in F_q^* (q = 1 mod p).
+def _prime_factors(n: int) -> List[int]:
+    """Distinct prime factors of n >= 1, in increasing order."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
-    Takes c^((q-1)/p) for increasing c until the result is not 1; p prime
-    forces the order to be exactly p.
+
+@lru_cache(maxsize=128)
+def root_of_unity(order: int, q: int) -> int:
+    """An element of exact multiplicative order `order` in F_q^*.
+
+    Returns c^((q-1)/order) for the smallest c >= 2 where that power has
+    exact order `order`, tested against the prime factors of `order`.  At
+    order q-1 this is the smallest generator of F_q^*.
     """
-    q = ctx.q
-    if (q - 1) % p != 0:
-        raise ValueError("no order-%d element: q = %d is not 1 mod %d" % (p, q, p))
+    if (q - 1) % order != 0:
+        raise ValueError("no element of order %d: q = %d is not 1 mod %d" % (order, q, order))
+    factors = _prime_factors(order)
     for c in range(2, q):
-        x = pow(c, (q - 1) // p, q)
-        if x != 1:
+        x = pow(c, (q - 1) // order, q)
+        if all(pow(x, order // f, q) != 1 for f in factors):
             return x
-    raise ValueError("no order-%d element found mod %d" % (p, q))  # unreachable
+    raise ValueError("no element of order %d mod %d (q not prime?)" % (order, q))
+
+
+def find_order_p_element(p: int, ctx: FieldCtx) -> int:
+    """An element of exact multiplicative order p in F_q^* (q = 1 mod p)."""
+    return root_of_unity(p, ctx.q)
+
+
+@lru_cache(maxsize=64)
+def power_table(base: int, n: int, q: int) -> np.ndarray:
+    """Read-only int64 array [base^0, ..., base^(n-1)] mod q, by doubling:
+    each step multiplies the filled prefix by base^filled."""
+    out = np.empty(n, dtype=np.int64)
+    filled, step = 1, base % q
+    out[:1] = 1
+    while filled < n:
+        k = min(filled, n - filled)
+        out[filled:filled + k] = out[:k] * step % q
+        filled += k
+        step = step * step % q
+    out.flags.writeable = False
+    return out
+
+
+def fq2_power_table(x: Fq2Elem, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(u, v) int64 arrays with x^i = u[i] + v[i]*sqrt(d_red), i < n, by
+    doubling as in power_table."""
+    q, d = x.ctx.q, x.ctx.d_red
+    u = np.empty(n, dtype=np.int64)
+    v = np.empty(n, dtype=np.int64)
+    u[:1], v[:1] = 1, 0
+    filled, step = 1, x
+    while filled < n:
+        k = min(filled, n - filled)
+        uk, vk = u[:k], v[:k]
+        u[filled:filled + k] = (uk * step.u + vk * step.v % q * d) % q
+        v[filled:filled + k] = (uk * step.v + vk * step.u) % q
+        filled += k
+        step = step * step
+    return u, v
+
+
+def fq2_generator(ctx: FieldCtx) -> Fq2Elem:
+    """The first generator of F_{q^2}^* in the order v = 1..q-1 (outer),
+    u = 0..q-1 (inner)."""
+    q = ctx.q
+    order = q * q - 1
+    one = ctx.elem(1)
+    exps = [order // f for f in _prime_factors(order)]
+    for v in range(1, q):
+        for u in range(q):
+            g = Fq2Elem(ctx, u, v)
+            if all(g ** e != one for e in exps):
+                return g
+    raise ValueError("no generator found for F_{%d^2}" % q)  # unreachable
 
 
 def frobenius(x: Fq2Elem, ctx: FieldCtx) -> Fq2Elem:

@@ -25,11 +25,15 @@ chunked at a fixed 1024 records with one forked RNG per chunk, so parallel
 generation with any worker count produces identical files.  Within a chunk
 the draw order is: all a-vectors, then all errors.  The secret uses its own
 fork index 2^63, outside the chunk range.
+
+draw_rlwe emits one FidelityWarning when any chunk's lattice errors were
+drawn below the sampler's width floor (see the sampling module).
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from hashlib import sha256
@@ -38,8 +42,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .rings import CycloRing, FamilyRing, Ring, RingElem, ring_mul
-from .sampling import (BinomialSpec, GaussianSpec, RngHandle, sample_binomial_vk,
-                       sample_lattice_gauss_batch)
+from .sampling import (BinomialSpec, FidelityWarning, GaussianSpec, RngHandle,
+                       sample_binomial_vk, sample_lattice_gauss_batch)
 
 SCHEMA_VERSION = 1
 _CHUNK = 1024
@@ -124,15 +128,15 @@ def _error_fields(error: ErrorSpec):
     return "binomial", error.k
 
 
-def _sample_errors(ring: Ring, error: ErrorSpec, rng: RngHandle, count: int) -> np.ndarray:
+def _sample_errors(ring: Ring, error: ErrorSpec, rng: RngHandle, count: int):
+    """(errors (count, deg), fidelity_warned)."""
     if error is None:
-        return np.zeros((count, ring.deg), dtype=np.int64)
+        return np.zeros((count, ring.deg), dtype=np.int64), False
     if isinstance(error, BinomialSpec):
         # coefficient-wise V_k (the estimator's model distribution)
         draws = sample_binomial_vk(error, rng, size=count * ring.deg)
-        return draws.reshape(count, ring.deg)
-    coeffs, _ = sample_lattice_gauss_batch(ring, error, rng, count)
-    return coeffs
+        return draws.reshape(count, ring.deg), False
+    return sample_lattice_gauss_batch(ring, error, rng, count)
 
 
 def _gen_chunk(args):
@@ -140,17 +144,20 @@ def _gen_chunk(args):
     rng = RngHandle(seed).fork(start // _CHUNK)
     q, deg = ring.q, ring.deg
     a = rng.gen.integers(0, q, size=(n, deg), dtype=np.int64)
-    e = _sample_errors(ring, error, rng, n)
+    e, warned = _sample_errors(ring, error, rng, n)
     b = np.empty((n, deg), dtype=np.int64)
     s = RingElem(secret_coeffs)
     for i in range(n):
         prod = ring_mul(RingElem(a[i]), s, ring)
         b[i] = (prod.coeffs + e[i]) % q
-    return start, a, b
+    return start, a, b, warned
 
 
 def draw_rlwe(instance: RlweInstance, count: int, workers: int = 1) -> SampleSet:
-    """count records (a, b = a*s + e) with a uniform in R/qR."""
+    """count records (a, b = a*s + e) with a uniform in R/qR.
+
+    Emits one FidelityWarning if any chunk sampled below the width floor.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     ring = instance.ring
@@ -166,13 +173,17 @@ def draw_rlwe(instance: RlweInstance, count: int, workers: int = 1) -> SampleSet
             results = list(pool.map(_gen_chunk, jobs))
     else:
         results = [_gen_chunk(j) for j in jobs]
-    for start, ca, cb in results:
+    for start, ca, cb, _ in results:
         a[start:start + len(ca)] = ca
         b[start:start + len(cb)] = cb
+    if any(warned for *_, warned in results):
+        warnings.warn("lattice errors were drawn below the per-level width floor "
+                      "of 4; the sampler is measurably biased there",
+                      FidelityWarning, stacklevel=2)
     return SampleSet(header, a, b)
 
 
-def draw_uniform(instance: RlweInstance, count: int, workers: int = 1) -> SampleSet:
+def draw_uniform(instance: RlweInstance, count: int) -> SampleSet:
     """Decoy set: both coordinates uniform and independent in R/qR."""
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .ffield import FieldCtx, Fq2Elem
+from .ffield import FieldCtx, Fq2Elem, power_table, root_of_unity
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,7 @@ class CycloRing:
 
     def alpha(self) -> int:
         """A primitive m-th root of unity mod q (smallest-base power)."""
-        return _find_primitive_root_2pow(self.m, self.q)
-
-
-@lru_cache(maxsize=64)
-def _find_primitive_root_2pow(m: int, q: int) -> int:
-    for c in range(2, q):
-        x = pow(c, (q - 1) // m, q)
-        # order is exactly m iff x^(m/2) = -1 (m is a power of 2)
-        if pow(x, m // 2, q) == q - 1:
-            return x
-    raise ValueError("no primitive %d-th root mod %d" % (m, q))
+        return root_of_unity(self.m, self.q)
 
 
 Ring = Union[FamilyRing, CycloRing]
@@ -165,6 +155,22 @@ def ring_mul(x: RingElem, y: RingElem, ring: Ring) -> RingElem:
 
 
 @lru_cache(maxsize=32)
+def _cyclotomic_block_basis(p: int) -> np.ndarray:
+    """Adjusted canonical embedding of Z[zeta_p] (basis 1..zeta^(p-2));
+    Gram is p*I - J, determinant p^(p-2)."""
+    n = p - 1
+    B = np.empty((n, n))
+    col = 0
+    for a in range(1, (p - 1) // 2 + 1):
+        ang = 2.0 * math.pi * a / p
+        for i in range(n):
+            B[i, col] = math.sqrt(2.0) * math.cos(ang * i)
+            B[i, col + 1] = math.sqrt(2.0) * math.sin(ang * i)
+        col += 2
+    return B
+
+
+@lru_cache(maxsize=32)
 def _embedding_matrix(ring: Ring) -> np.ndarray:
     """Rows are iota(basis element) in the frozen coordinate order."""
     if isinstance(ring, CycloRing):
@@ -178,22 +184,13 @@ def _embedding_matrix(ring: Ring) -> np.ndarray:
                 E[i, col + 1] = math.sqrt(2.0) * math.sin(ang * i)
             col += 2
         return E
-    p, d = ring.p, ring.d
+    # pair a of the block basis splits into the +sqrt(d) and -sqrt(d) pairs
     n, deg = ring.family_n, ring.deg
-    E = np.empty((deg, deg))
-    sd = math.sqrt(d)
-    col = 0
-    for a in range(1, (p - 1) // 2 + 1):
-        for s in (1.0, -1.0):
-            ang = 2.0 * math.pi * a / p
-            for i in range(n):
-                re, im = math.cos(ang * i), math.sin(ang * i)
-                E[i, col] = math.sqrt(2.0) * re
-                E[i, col + 1] = math.sqrt(2.0) * im
-                E[n + i, col] = math.sqrt(2.0) * s * sd * re
-                E[n + i, col + 1] = math.sqrt(2.0) * s * sd * im
-            col += 2
-    return E
+    B = _cyclotomic_block_basis(ring.p).reshape(n, n // 2, 1, 2)
+    sign = np.array([1.0, -1.0]).reshape(1, 1, 2, 1)
+    e1 = np.broadcast_to(B, (n, n // 2, 2, 2)).reshape(n, deg)
+    e2 = (math.sqrt(ring.d) * sign * B).reshape(n, deg)
+    return np.vstack([e1, e2])
 
 
 def canonical_embed(x: RingElem, ring: Ring) -> np.ndarray:
@@ -216,31 +213,18 @@ def reduce_mod_prime(x: RingElem, ring: Ring, ctx: FieldCtx):
     root alpha, landing in F_q (returned as a plain int).
     """
     _check_len(x, ring)
-    q = ring.q
-    if ctx is not None and ctx.q != q:
-        raise ValueError("context modulus %d does not match ring modulus %d" % (ctx.q, q))
+    out = reduce_mod_prime_batch(x.coeffs[None, :], ring, ctx)
     if isinstance(ring, CycloRing):
-        alpha = ring.alpha()
-        powers = _root_powers(alpha, ring.n, q)
-        return int((x.coeffs % q) @ powers % q)
-    if ctx.alpha_p is None:
-        raise ValueError("FamilyRing reduction needs a context with alpha_p set")
-    if pow(ctx.alpha_p, ring.p, q) != 1:
-        raise ValueError("ctx.alpha_p does not have order %d mod %d" % (ring.p, q))
-    if (ring.d - ctx.d_red) % q != 0:
-        raise ValueError("ctx.d_red is not d mod q; rho would land in the wrong model of F_{q^2}")
-    n = ring.family_n
-    powers = _root_powers(ctx.alpha_p, n, q)
-    u = int((x.coeffs[:n] % q) @ powers % q)
-    v = int((x.coeffs[n:] % q) @ powers % q)
-    return Fq2Elem(ctx, u, v)
+        return int(out[0])
+    u, v = out
+    return Fq2Elem(ctx, int(u[0]), int(v[0]))
 
 
 def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring, ctx: FieldCtx):
     """Vectorized reduce_mod_prime over a (count, deg) coefficient array.
 
     Returns (u, v) int64 arrays for a FamilyRing and a single int64 array
-    for a CycloRing.  Same context validation as the scalar map.
+    for a CycloRing.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if coeffs.ndim != 2 or coeffs.shape[1] != ring.deg:
@@ -249,7 +233,7 @@ def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring, ctx: FieldCtx):
     if ctx is not None and ctx.q != q:
         raise ValueError("context modulus %d does not match ring modulus %d" % (ctx.q, q))
     if isinstance(ring, CycloRing):
-        powers = _root_powers(ring.alpha(), ring.n, q)
+        powers = power_table(ring.alpha(), ring.n, q)
         return (coeffs % q) @ powers % q
     if ctx.alpha_p is None:
         raise ValueError("FamilyRing reduction needs a context with alpha_p set")
@@ -258,20 +242,10 @@ def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring, ctx: FieldCtx):
     if (ring.d - ctx.d_red) % q != 0:
         raise ValueError("ctx.d_red is not d mod q; rho would land in the wrong model of F_{q^2}")
     n = ring.family_n
-    powers = _root_powers(ctx.alpha_p, n, q)
+    powers = power_table(ctx.alpha_p, n, q)
     u = (coeffs[:, :n] % q) @ powers % q
     v = (coeffs[:, n:] % q) @ powers % q
     return u, v
-
-
-@lru_cache(maxsize=64)
-def _root_powers(alpha: int, n: int, q: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.int64)
-    acc = 1
-    for i in range(n):
-        out[i] = acc
-        acc = acc * alpha % q
-    return out
 
 
 def scaled_width_r0(r: float, ring: Ring) -> float:

@@ -53,7 +53,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .rings import CycloRing, FamilyRing, Ring, RingElem, _embedding_matrix
+from .rings import CycloRing, Ring, RingElem, _cyclotomic_block_basis, _embedding_matrix
 
 
 class FidelityWarning(UserWarning):
@@ -148,7 +148,10 @@ def sample_binomial_vk(spec: BinomialSpec, rng: RngHandle, size: Optional[int] =
 
 
 def _gso(B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt: B = mu @ Bstar with mu unit lower triangular."""
+    """Gram-Schmidt: B = mu @ Bstar with mu unit lower triangular.
+
+    Returns (mu, row norms of Bstar), the data a Klein walk needs.
+    """
     n = B.shape[0]
     Bstar = B.astype(float).copy()
     mu = np.eye(n)
@@ -156,7 +159,7 @@ def _gso(B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         for j in range(i):
             mu[i, j] = Bstar[j] @ B[i] / (Bstar[j] @ Bstar[j])
             Bstar[i] -= mu[i, j] * Bstar[j]
-    return mu, Bstar
+    return mu, np.linalg.norm(Bstar, axis=1)
 
 
 def _sample_z_batch(centers: np.ndarray, width: float, cut: int, rng: RngHandle) -> np.ndarray:
@@ -171,14 +174,23 @@ def _sample_z_batch(centers: np.ndarray, width: float, cut: int, rng: RngHandle)
     return grid[np.arange(len(centers)), idx]
 
 
-def _klein_batch(B: np.ndarray, r: float, count: int, rng: RngHandle) -> Tuple[np.ndarray, bool]:
-    """`count` draws of the integer combination z for D_{lattice(B), r}.
+@lru_cache(maxsize=32)
+def _block_gso(p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """_gso of the family block basis, computed once per p."""
+    mu, norms = _gso(_cyclotomic_block_basis(p))
+    mu.flags.writeable = norms.flags.writeable = False
+    return mu, norms
+
+
+def _klein_batch(gso: Tuple[np.ndarray, np.ndarray], r: float, count: int,
+                 rng: RngHandle) -> Tuple[np.ndarray, bool]:
+    """`count` draws of the integer combination z for D_{lattice(B), r},
+    given gso = _gso(B).
 
     Returns (z array of shape (count, n), fidelity_warned).
     """
-    n = B.shape[0]
-    mu, Bstar = _gso(B)
-    norms = np.linalg.norm(Bstar, axis=1)
+    mu, norms = gso
+    n = mu.shape[0]
     widths = r / norms
     warned = bool((widths < 4.0).any())
     # work in basis coordinates: target 0, walk levels n-1 .. 0
@@ -190,22 +202,6 @@ def _klein_batch(B: np.ndarray, r: float, count: int, rng: RngHandle) -> Tuple[n
         cut = int(math.ceil(10.0 * widths[i])) + 1
         z[:, i] = _sample_z_batch(np.asarray(centers, dtype=float), widths[i], cut, rng)
     return z, warned
-
-
-@lru_cache(maxsize=32)
-def _cyclotomic_block_basis(p: int) -> np.ndarray:
-    """Adjusted canonical embedding of Z[zeta_p] (basis 1..zeta^(p-2));
-    Gram is p*I - J, determinant p^(p-2)."""
-    n = p - 1
-    B = np.empty((n, n))
-    col = 0
-    for a in range(1, (p - 1) // 2 + 1):
-        ang = 2.0 * math.pi * a / p
-        for i in range(n):
-            B[i, col] = math.sqrt(2.0) * math.cos(ang * i)
-            B[i, col + 1] = math.sqrt(2.0) * math.sin(ang * i)
-        col += 2
-    return B
 
 
 def sample_lattice_gauss_batch(ring: Ring, spec: GaussianSpec, rng: RngHandle,
@@ -227,12 +223,12 @@ def sample_lattice_gauss_batch(ring: Ring, spec: GaussianSpec, rng: RngHandle,
             one = GaussianSpec(r / math.sqrt(ring.n), spec.tail_cut)
             draws = sample_dgauss_z(one, rng, size=count * ring.n)
             return draws.reshape(count, ring.n), False
-        return _klein_batch(_embedding_matrix(ring), r, count, rng)
+        return _klein_batch(_gso(_embedding_matrix(ring)), r, count, rng)
     if method == "coeff":
         raise ValueError("coefficient-path sampling is exact only for CycloRing")
-    B = _cyclotomic_block_basis(ring.p)
-    z1, w1 = _klein_batch(B, r / math.sqrt(2.0), count, rng)
-    z2, w2 = _klein_batch(B, r / math.sqrt(2.0 * ring.d), count, rng)
+    gso = _block_gso(ring.p)
+    z1, w1 = _klein_batch(gso, r / math.sqrt(2.0), count, rng)
+    z2, w2 = _klein_batch(gso, r / math.sqrt(2.0 * ring.d), count, rng)
     return np.concatenate([z1, z2], axis=1), w1 or w2
 
 

@@ -185,7 +185,7 @@ def test_criterion_1_coset_recovery_at_printed_widths():
                 inst = RlweInstance.generate(ring, GaussianSpec(r), seed=seed)
                 truth = reduce_mod_prime(inst.secret, ring, ctx)
                 samples = draw_rlwe(inst, n)
-                out = coset_attack(samples, ctx, AttackConfig(workers=1))
+                out = coset_attack(samples, ctx, AttackConfig())
                 elapsed = time.perf_counter() - t0
                 assert elapsed < 600.0, "run exceeded the 10-minute budget"
                 if out.verdict == VERDICT_GUESS:
@@ -217,8 +217,8 @@ def test_criterion_2_decoy_soundness():
         for seed in range(100, 110):
             inst = RlweInstance.generate(ring, GaussianSpec(100.0), seed=seed)
             decoy = draw_uniform(inst, n)
-            cos = coset_attack(decoy, ctx, AttackConfig(workers=1))
-            two = two_bin_attack(decoy, ctx, AttackConfig(workers=1))
+            cos = coset_attack(decoy, ctx, AttackConfig())
+            two = two_bin_attack(decoy, ctx, AttackConfig())
             if cos.verdict == VERDICT_NOT_RLWE and two.verdict == VERDICT_NOT_RLWE:
                 good += 1
         assert good >= 9, "p=%d decoys: %d/10" % (p, good)

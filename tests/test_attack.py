@@ -7,7 +7,7 @@ import scipy.stats
 from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
                                    VERDICT_INSUFFICIENT, VERDICT_NOT_RLWE,
                                    _binom_upper_quantile, _inverse_table,
-                                   _partition, _two_bin_stat, _verdict,
+                                   _two_bin_stat, _verdict,
                                    chi_square, coset_attack, critical_value,
                                    default_beta_coset, default_beta_two_bin,
                                    two_bin_attack)
@@ -117,20 +117,10 @@ def test_binom_upper_quantile_matches_scipy():
 
 
 def test_inverse_table():
-    for q in (13, 17, 173):
+    for q in (3, 13, 17, 173, 1051):
         inv = _inverse_table(q)
         assert inv[0] == 0
         assert all(w * inv[w] % q == 1 for w in range(1, q))
-
-
-def test_partition():
-    assert _partition(10, 3) == [(0, 4), (4, 8), (8, 10)]
-    assert _partition(5, 1) == [(0, 5)]
-    assert _partition(3, 7) == [(0, 1), (1, 2), (2, 3)]
-    for n, w in [(169, 4), (13, 13), (1, 5)]:
-        parts = _partition(n, w)
-        assert parts[0][0] == 0 and parts[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
 
 
 def test_verdict_rules():
@@ -236,15 +226,6 @@ def test_beta_chi_override():
     assert len(lo.candidates) >= 13
 
 
-def test_workers_do_not_change_scores():
-    ss = draw_rlwe(_instance(1), 2000)
-    for attack in (coset_attack, two_bin_attack):
-        one = attack(ss, CTX, AttackConfig(workers=1))
-        three = attack(ss, CTX, AttackConfig(workers=3))
-        assert np.array_equal(one.chi2_by_index, three.chi2_by_index)
-        assert one.verdict == three.verdict and one.candidate == three.candidate
-
-
 def test_modal_tie_reports_every_candidate():
     """All-zero b with a confined to the sqrt(d) block makes every coset guess
     equally perfect, so the outcome must list all q ties, not pick one."""
@@ -286,7 +267,5 @@ def test_attack_config_validation():
         AttackConfig(beta_chi=0.0)
     with pytest.raises(ValueError):
         AttackConfig(beta_chi=-4.0)
-    with pytest.raises(ValueError):
-        AttackConfig(workers=0)
     cfg = AttackConfig()
-    assert cfg.beta_chi is None and cfg.min_samples is None and cfg.workers == 1
+    assert cfg.beta_chi is None and cfg.min_samples is None

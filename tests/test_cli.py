@@ -70,6 +70,8 @@ def test_find_params_inadmissible(capsys):
 
 GEN = ("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "2.0",
        "--workers", "1")
+FIDELITY_NOTE = ("warning: lattice errors were drawn below the per-level width "
+                 "floor of 4; the sampler is measurably biased there")
 
 
 def test_gen_samples_stdout_and_file_agree(capsys, tmp_path):
@@ -77,7 +79,8 @@ def test_gen_samples_stdout_and_file_agree(capsys, tmp_path):
     code, out, err = run(capsys, *GEN, "--out", str(path))
     assert code == 0
     assert out == ""
-    assert err.strip() == "wrote 130 gaussian record(s) (seed 0)"
+    # r = 2 puts every Klein level of (3, 2, 13) below width 4
+    assert err.splitlines() == [FIDELITY_NOTE, "wrote 130 gaussian record(s) (seed 0)"]
     code, out2, _ = run(capsys, *GEN)
     assert code == 0
     assert out2 == path.read_text()
@@ -89,6 +92,18 @@ def test_gen_samples_stdout_and_file_agree(capsys, tmp_path):
                                    "q", "error_kind", "width_or_k", "seed",
                                    "count", "secret_hash"]
     assert len(out2.splitlines()) == 131  # header + default count 10q
+
+
+def test_gen_samples_fidelity_note(capsys):
+    # two 1024-record chunks on two workers: the flag crosses the pool
+    code, _, err = run(capsys, "gen-samples", "--p", "43", "--d", "4871", "--q", "173",
+                       "--r", "200", "--workers", "2")
+    assert code == 0
+    assert err.splitlines() == [FIDELITY_NOTE, "wrote 1730 gaussian record(s) (seed 0)"]
+    code, _, err = run(capsys, "gen-samples", "--m", "64", "--q", "193", "--k", "4",
+                       "--workers", "1")
+    assert code == 0
+    assert err.splitlines() == ["wrote 1930 binomial record(s) (seed 0)"]
 
 
 def test_gen_samples_validation(capsys):
@@ -143,6 +158,19 @@ def test_attack_round_trip(capsys, sample_file):
         assert rep["candidate"] == [12, 0]  # rho(secret) for seed 0
         assert err.startswith("verdict: GUESS candidate=(12, 0)")
     assert rep["guesses_evaluated"] == 169  # the last run was two-bin
+
+
+def test_attack_workers_flag_accepted_and_ignored(capsys, sample_file):
+    for kind in ("coset", "two-bin"):
+        reports = []
+        for workers in ("1", "3"):
+            code, out, _ = run(capsys, "attack", "--attack", kind,
+                               "--samples", str(sample_file), "--workers", workers)
+            assert code == 0
+            rep = json.loads(out)
+            del rep["elapsed_ms"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
 
 
 def test_attack_out_file(capsys, sample_file, tmp_path):

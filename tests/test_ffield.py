@@ -1,10 +1,12 @@
-"""Finite-field layer: primality, Legendre symbols, and F_{q^2} arithmetic."""
+"""Finite-field layer: primality, Legendre symbols, F_{q^2} arithmetic,
+roots of unity and power tables."""
 
 import pytest
 
 from rlwe_workbench.ffield import (FieldCtx, Fq2Elem, coset_reps, find_order_p_element,
-                                   frobenius, is_prime, legendre, smallest_nonresidue,
-                                   trace)
+                                   fq2_generator, fq2_power_table, frobenius, is_prime,
+                                   legendre, power_table, root_of_unity,
+                                   smallest_nonresidue, trace)
 
 
 def _sieve(limit):
@@ -171,3 +173,79 @@ def test_find_order_p_element():
     ctx173 = FieldCtx(173, d_red=4871 % 173)
     y = find_order_p_element(43, ctx173)
     assert pow(y, 43, 173) == 1 and y != 1
+
+
+# ------------------------------------------------ roots and power tables
+
+def _order(x, q):
+    """Multiplicative order of x mod q by stepping through its powers."""
+    k, y = 1, x % q
+    while y != 1:
+        y = y * x % q
+        k += 1
+    return k
+
+
+def _first_root(order, q):
+    """The definition of root_of_unity, with orders found by brute force."""
+    for c in range(2, q):
+        x = pow(c, (q - 1) // order, q)
+        if _order(x, q) == order:
+            return x
+    raise AssertionError("no root of order %d mod %d" % (order, q))
+
+
+def test_root_of_unity_matches_brute_force_order():
+    checked = 0
+    for q in sorted(_sieve(2000) - {2}):
+        orders = {q - 1} | {1 << e for e in range(1, 12) if (q - 1) % (1 << e) == 0}
+        orders |= {p for p in (3, 5, 7, 11, 13) if (q - 1) % p == 0}
+        for order in orders:
+            assert root_of_unity(order, q) == _first_root(order, q), (order, q)
+            checked += 1
+    assert checked > 1000
+    assert root_of_unity(172, 173) == 2  # the smallest generator mod 173
+    with pytest.raises(ValueError):
+        root_of_unity(5, 13)
+
+
+def test_power_table_matches_recurrence():
+    for base, n, q in [(3, 1, 13), (3, 12, 13), (5, 0, 13), (11, 64, 193),
+                       (16, 42, 173), (2, 1050, 1051)]:
+        want, acc = [], 1
+        for _ in range(n):
+            want.append(acc)
+            acc = acc * base % q
+        table = power_table(base, n, q)
+        assert table.tolist() == want
+        assert not table.flags.writeable  # cached and shared between callers
+
+
+def test_fq2_power_table_matches_recurrence():
+    for q, (u, v), n in [(13, (4, 9), 170), (173, (1, 1), 1000), (5119, (1, 1), 777)]:
+        ctx = FieldCtx(q)
+        x = ctx.elem(u, v)
+        us, vs = fq2_power_table(x, n)
+        acc = ctx.elem(1)
+        for i in range(n):
+            assert (us[i], vs[i]) == (acc.u, acc.v)
+            acc = acc * x
+
+
+def test_fq2_generator_is_first_of_full_order():
+    for q in (3, 5, 7, 13):
+        ctx = FieldCtx(q)
+        one = ctx.elem(1)
+        first = None
+        for v in range(1, q):
+            for u in range(q):
+                x, k = ctx.elem(u, v), 1
+                y = x
+                while y != one:
+                    y, k = y * x, k + 1
+                if k == q * q - 1:
+                    first = x
+                    break
+            if first is not None:
+                break
+        assert fq2_generator(ctx) == first

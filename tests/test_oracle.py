@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from rlwe_workbench.oracle import (RlweInstance, SampleFileError, SampleSet,
                                    _HEADER_KEYS, draw_rlwe, draw_uniform, dump,
                                    load, save, secret_commitment)
 from rlwe_workbench.rings import CycloRing, FamilyRing, RingElem, ring_mul
-from rlwe_workbench.sampling import (BinomialSpec, GaussianSpec, RngHandle,
-                                     sample_lattice_gauss_batch)
+from rlwe_workbench.sampling import (BinomialSpec, FidelityWarning, GaussianSpec,
+                                     RngHandle, sample_lattice_gauss_batch)
 
 R = FamilyRing(3, 2, 13)
 C = CycloRing(8, 17)
@@ -93,6 +94,19 @@ def test_worker_count_does_not_change_bytes():
     dump(s1, buf1)
     dump(s3, buf3)
     assert buf1.getvalue() == buf3.getvalue()
+
+
+def test_fidelity_flag_reaches_the_caller():
+    # e2-block widths: r / sqrt(2d) over Gram-Schmidt norms near 1.2-1.4
+    narrow = RlweInstance.generate(R, GaussianSpec(6.0), seed=9)
+    for workers in (1, 2):
+        with pytest.warns(FidelityWarning) as caught:
+            draw_rlwe(narrow, 2100, workers=workers)
+        assert len(caught) == 1
+    wide = RlweInstance.generate(R, GaussianSpec(40.0), seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draw_rlwe(wide, 2100, workers=2)
 
 
 def test_uniform_decoy_header_and_determinism():

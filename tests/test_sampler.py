@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rlwe_workbench.rings import CycloRing, FamilyRing, canonical_embed, RingElem
+from rlwe_workbench.rings import (CycloRing, FamilyRing, canonical_embed, RingElem,
+                                  _cyclotomic_block_basis)
 from rlwe_workbench.sampling import (BinomialSpec, FidelityWarning, GaussianSpec,
                                      RngHandle, binomial_vk_pmf, compute_beta,
                                      sample_binomial_vk, sample_dgauss_z,
                                      sample_lattice_gauss, sample_lattice_gauss_batch,
-                                     tail_bound, _cyclotomic_block_basis)
+                                     tail_bound)
 
 
 def test_spec_validation():
