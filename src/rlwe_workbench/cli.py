@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 from . import family as family_mod
 from . import oracle as oracle_mod
@@ -31,7 +30,7 @@ from .estimator import empirical_uniformity, epsilon, epsilon_deg2
 from .ffield import FieldCtx
 from .oracle import RlweInstance, SampleFileError
 from .rings import CycloRing
-from .sampling import BinomialSpec, FidelityWarning, GaussianSpec
+from .sampling import BinomialSpec, GaussianSpec
 
 
 @contextlib.contextmanager
@@ -102,14 +101,7 @@ def cmd_gen_samples(args) -> int:
     if args.uniform:
         sample_set = oracle_mod.draw_uniform(instance, count)
     else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", FidelityWarning)
-            sample_set = oracle_mod.draw_rlwe(instance, count, workers=args.workers)
-        for w in caught:
-            if issubclass(w.category, FidelityWarning):
-                _note("warning: %s" % w.message)
-            else:
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        sample_set = oracle_mod.draw_rlwe(instance, count, workers=args.workers)
     with _out_stream(args.out) as fh:
         oracle_mod.dump(sample_set, fh)
     _note("wrote %d %s record(s) (seed %d)"

@@ -25,15 +25,11 @@ chunked at a fixed 1024 records with one forked RNG per chunk, so parallel
 generation with any worker count produces identical files.  Within a chunk
 the draw order is: all a-vectors, then all errors.  The secret uses its own
 fork index 2^63, outside the chunk range.
-
-draw_rlwe emits one FidelityWarning when any chunk's lattice errors were
-drawn below the sampler's width floor (see the sampling module).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from hashlib import sha256
@@ -42,8 +38,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .rings import CycloRing, FamilyRing, Ring, RingElem, ring_mul
-from .sampling import (BinomialSpec, FidelityWarning, GaussianSpec, RngHandle,
-                       sample_binomial_vk, sample_lattice_gauss_batch)
+from .sampling import (BinomialSpec, GaussianSpec, RngHandle, sample_binomial_vk,
+                       sample_lattice_gauss_batch)
 
 SCHEMA_VERSION = 1
 _CHUNK = 1024
@@ -129,14 +125,14 @@ def _error_fields(error: ErrorSpec):
 
 
 def _sample_errors(ring: Ring, error: ErrorSpec, rng: RngHandle, count: int):
-    """(errors (count, deg), fidelity_warned)."""
+    """Errors as a (count, deg) array."""
     if error is None:
-        return np.zeros((count, ring.deg), dtype=np.int64), False
+        return np.zeros((count, ring.deg), dtype=np.int64)
     if isinstance(error, BinomialSpec):
         # coefficient-wise V_k (the estimator's model distribution)
         draws = sample_binomial_vk(error, rng, size=count * ring.deg)
-        return draws.reshape(count, ring.deg), False
-    return sample_lattice_gauss_batch(ring, error, rng, count)
+        return draws.reshape(count, ring.deg)
+    return sample_lattice_gauss_batch(ring, error, rng, count)[0]
 
 
 def _gen_chunk(args):
@@ -144,20 +140,17 @@ def _gen_chunk(args):
     rng = RngHandle(seed).fork(start // _CHUNK)
     q, deg = ring.q, ring.deg
     a = rng.gen.integers(0, q, size=(n, deg), dtype=np.int64)
-    e, warned = _sample_errors(ring, error, rng, n)
+    e = _sample_errors(ring, error, rng, n)
     b = np.empty((n, deg), dtype=np.int64)
     s = RingElem(secret_coeffs)
     for i in range(n):
         prod = ring_mul(RingElem(a[i]), s, ring)
         b[i] = (prod.coeffs + e[i]) % q
-    return start, a, b, warned
+    return start, a, b
 
 
 def draw_rlwe(instance: RlweInstance, count: int, workers: int = 1) -> SampleSet:
-    """count records (a, b = a*s + e) with a uniform in R/qR.
-
-    Emits one FidelityWarning if any chunk sampled below the width floor.
-    """
+    """count records (a, b = a*s + e) with a uniform in R/qR."""
     if count < 1:
         raise ValueError("count must be >= 1")
     ring = instance.ring
@@ -173,13 +166,9 @@ def draw_rlwe(instance: RlweInstance, count: int, workers: int = 1) -> SampleSet
             results = list(pool.map(_gen_chunk, jobs))
     else:
         results = [_gen_chunk(j) for j in jobs]
-    for start, ca, cb, _ in results:
+    for start, ca, cb in results:
         a[start:start + len(ca)] = ca
         b[start:start + len(cb)] = cb
-    if any(warned for *_, warned in results):
-        warnings.warn("lattice errors were drawn below the per-level width floor "
-                      "of 4; the sampler is measurably biased there",
-                      FidelityWarning, stacklevel=2)
     return SampleSet(header, a, b)
 
 
@@ -223,6 +212,27 @@ def save(sample_set: SampleSet, path) -> None:
         dump(sample_set, fh)
 
 
+def _coefficients(vecs, linenos, first: int, q: int, deg: int) -> np.ndarray:
+    """Record vectors (a then b of records first, first + 1, .., in file
+    order) as one int64 array, checked in one pass; a vector holding
+    anything but ints in [0, q) raises SampleFileError at its line."""
+    if not vecs:
+        return np.empty((0, deg), dtype=np.int64)
+    try:
+        arr = np.array(vecs)
+        ok = (arr.dtype.kind in "bi" and arr.ndim == 2
+              and arr.min() >= 0 and arr.max() < q)
+    except ValueError:  # ragged nesting
+        ok = False
+    if ok:
+        return arr.astype(np.int64, copy=False)
+    for i, vec in enumerate(vecs):
+        if any(not isinstance(c, int) or c < 0 or c >= q for c in vec):
+            raise SampleFileError(linenos[i // 2], "record %d: %r has coefficients "
+                                  "outside [0, %d)" % (first + i // 2, "ab"[i % 2], q))
+    raise AssertionError("unreachable: the one-pass check rejected valid vectors")
+
+
 def load(path) -> SampleSet:
     with open(path) as fh:
         try:
@@ -239,26 +249,40 @@ def load(path) -> SampleSet:
         count, deg, q = header["count"], ring.deg, ring.q
         a = np.empty((count, deg), dtype=np.int64)
         b = np.empty((count, deg), dtype=np.int64)
-        got = 0
+        vecs, linenos, done = [], [], 0  # records parsed since the last flush
+
+        def flush():
+            # checked a chunk at a time, so the parsed lists stay small;
+            # a bad coefficient is reported before any later fault
+            nonlocal done
+            arr, n = _coefficients(vecs, linenos, done, q, deg), len(vecs) // 2
+            a[done:done + n], b[done:done + n] = arr[0:2 * n:2], arr[1:2 * n:2]
+            done += n
+            del vecs[:], linenos[:]
+
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            got = done + len(linenos)
             if got >= count:
+                flush()
                 raise SampleFileError(lineno, "more records than header count %d" % count)
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
+                flush()
                 raise SampleFileError(lineno, "bad record JSON (%s)" % e) from e
-            for key, dst in (("a", a), ("b", b)):
+            linenos.append(lineno)
+            for key in ("a", "b"):
                 vec = rec.get(key)
                 if not isinstance(vec, list) or len(vec) != deg:
+                    flush()
                     raise SampleFileError(
                         lineno, "record %d: %r is not a length-%d vector" % (got, key, deg))
-                if any(not isinstance(c, int) or c < 0 or c >= q for c in vec):
-                    raise SampleFileError(
-                        lineno, "record %d: %r has coefficients outside [0, %d)" % (got, key, q))
-                dst[got] = vec
-            got += 1
-        if got != count:
-            raise SampleFileError(got + 1, "expected %d records, found %d" % (count, got))
+                vecs.append(vec)
+            if len(linenos) == _CHUNK:
+                flush()
+        flush()
+        if done != count:
+            raise SampleFileError(done + 1, "expected %d records, found %d" % (count, done))
     return SampleSet(header, a, b)

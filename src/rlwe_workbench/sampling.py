@@ -17,65 +17,53 @@ bound formulas only on C_s.
 
 Lattice sampling
 ----------------
-`sample_lattice_gauss` draws from a distribution statistically close to the
-discrete Gaussian D_{iota(R), r}:
+`sample_lattice_gauss_batch` draws exactly from the discrete Gaussian
+D_{iota(R), r}; the only approximation is a tail cut at ten widths per
+integer coordinate, which leaves mass below 2^-100 there:
 
 * FamilyRing: the embedded ring splits orthogonally as iota(R) =
   sqrt(2)*L (+) sqrt(2d)*L with L the embedded cyclotomic Z[zeta_p], and a
   Gaussian factorizes exactly over orthogonal components, so the e1 block is
-  drawn from D_{L, r/sqrt(2)} and the e2 block from D_{L, r/sqrt(2d)},
-  each by a randomized nearest-plane (Klein-style) walk over the
-  Gram-Schmidt decomposition of L.
+  drawn from D_{L, r/sqrt(2)} and the e2 block from D_{L, r/sqrt(2d)}.
+  L is sqrt(p) times Z^p projected onto the sum-zero hyperplane (Gram
+  p*I - J), the prime-cyclotomic view of Z[X]/(X^p - 1) in Lyubashevsky,
+  Peikert and Regev, "A Toolkit for Ring-LWE Cryptography" (Eurocrypt
+  2013).  `_sample_block` draws from it by conditioning i.i.d. integer
+  Gaussians on the class of their sum mod p; see there.
 * CycloRing: iota scales every coefficient direction by sqrt(n)
   (orthogonal basis), so D_{iota(R), r} is exactly n independent copies of
   D_{Z, r/sqrt(n)} in coefficient coordinates.
 
-Klein's sampler is exact up to the per-level theta-function flatness; the
-relative error is ~2*exp(-(pi * width)^2) per level, so per-level widths
-of 4 or more are far beyond statistically detectable.  Below width 4 a
-FidelityWarning is emitted and the draw still proceeds, but the walk is then
-measurably biased.  On the e2 block of (p, d) = (43, 4871) the exact
-P(e2 = 0), from the block lattice's theta series, is 0.9969 at r = 200
-(block width 2.03) and 0.00283 at block width 3.97; the walk gives 0.982
-(39283 of 40000 draws) and 0.0014 (282 of 200000), seed 12345.  It puts
-too little mass on zero, so it does not concentrate like the true
-distribution.
+Both paths hold at every width, including the narrow e2 blocks where the
+attacks draw their signal: at (p, d) = (43, 4871), r = 200 (block width
+2.03), P(e2 = 0) is 0.9969, the block lattice's theta series.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .rings import CycloRing, Ring, RingElem, _cyclotomic_block_basis, _embedding_matrix
-
-
-class FidelityWarning(UserWarning):
-    """Lattice sampler ran below its statistical-fidelity floor."""
+from .rings import CycloRing, Ring
 
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Width r under rho_r(x) = exp(-||x||^2/r^2); tail_cut in absolute units
-    (defaults to ceil(10 r) + 1, leaving truncated mass below 2^-100)."""
+    """Width r under rho_r(x) = exp(-||x||^2/r^2)."""
     r: float
-    tail_cut: Optional[int] = None
 
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("GaussianSpec: width must be positive")
 
-    def cut(self, r: Optional[float] = None) -> int:
-        if self.tail_cut is not None:
-            return self.tail_cut
-        w = self.r if r is None else r
-        return int(math.ceil(10.0 * w)) + 1
+    def cut(self) -> int:
+        """Tail cut ceil(10 r) + 1: the truncated mass is below 2^-100."""
+        return int(math.ceil(10.0 * self.r)) + 1
 
 
 @dataclass(frozen=True)
@@ -144,102 +132,95 @@ def sample_binomial_vk(spec: BinomialSpec, rng: RngHandle, size: Optional[int] =
 
 
 # ---------------------------------------------------------------------------
-# Klein-style randomized nearest-plane over a Gram-Schmidt decomposition
+# Exact D_{L, w} on the embedded Z[zeta_p]
 
 
-def _gso(B: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt: B = mu @ Bstar with mu unit lower triangular.
+@lru_cache(maxsize=64)
+def _block_tables(p: int, w: float):
+    """Tables for `_sample_block` at (p, w), all O(p^2) or O(support).
 
-    Returns (mu, row norms of Bstar), the data a Klein walk needs.
+    With s = w/sqrt(p) and g(v) = exp(-v^2/s^2) on |v| <= ceil(10 s) + 1:
+    vals[rho], cum[rho]  members v = rho (mod p) of the support, and the
+                         running sums of g over them (zero-padded);
+    g_mod[rho]           P(v = rho mod p) for v ~ g;
+    H[k][j]              P(v_1 + .. + v_k = j mod p), k = 0 .. p;
+    j_cdf                running sums of H[p][j] / theta(j), where
+                         theta(j) = sum_k exp(-(j + k p)^2 / (p s^2)).
     """
-    n = B.shape[0]
-    Bstar = B.astype(float).copy()
-    mu = np.eye(n)
-    for i in range(n):
-        for j in range(i):
-            mu[i, j] = Bstar[j] @ B[i] / (Bstar[j] @ Bstar[j])
-            Bstar[i] -= mu[i, j] * Bstar[j]
-    return mu, np.linalg.norm(Bstar, axis=1)
+    s = w / math.sqrt(p)
+    cut = int(math.ceil(10.0 * s)) + 1
+    per_class = -(-(2 * cut + 1) // p)
+    vals = (-cut + (np.arange(p) + cut) % p)[:, None] + p * np.arange(per_class)[None, :]
+    cum = np.cumsum(np.where(vals <= cut, np.exp(-(vals / s) ** 2), 0.0), axis=1)
+    g_mod = cum[:, -1] / cum[:, -1].sum()
+    diff = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+    H = np.zeros((p + 1, p))
+    H[0, 0] = 1.0
+    for k in range(1, p + 1):
+        H[k] = (g_mod * H[k - 1][diff]).sum(axis=1)
+    # the class of j in Z_p carries weight H[p][j] / theta(j); in log space,
+    # because theta underflows at narrow widths
+    reps = int(math.ceil(10.0 * s / math.sqrt(p))) + 1
+    ks = np.arange(-reps, reps + 1)
+    log_theta = np.logaddexp.reduce(-((np.arange(p)[:, None] + p * ks) ** 2) / (p * s * s),
+                                    axis=1)
+    log_w = np.log(H[p], out=np.full(p, -np.inf), where=H[p] > 0) - log_theta
+    j_cdf = np.cumsum(np.exp(log_w - log_w.max()))
+    for a in (vals, cum, g_mod, diff, H, j_cdf):
+        a.flags.writeable = False
+    return vals, cum, g_mod, diff, H, j_cdf
 
 
-def _sample_z_batch(centers: np.ndarray, width: float, cut: int, rng: RngHandle) -> np.ndarray:
-    """Batched D_{Z, width, c} via explicit weights around each center."""
-    base = np.rint(centers).astype(np.int64)
-    offs = np.arange(-cut, cut + 1)
-    grid = base[:, None] + offs[None, :]
-    w = np.exp(-((grid - centers[:, None]) ** 2) / (width * width))
-    cdf = np.cumsum(w, axis=1)
-    u = rng.gen.random(len(centers)) * cdf[:, -1]
-    idx = (cdf < u[:, None]).sum(axis=1)
-    return grid[np.arange(len(centers)), idx]
+def _pick(cdf: np.ndarray, rng: RngHandle) -> np.ndarray:
+    """Per row of running sums, the index of a draw with probability
+    proportional to its increment; zero-weight entries are never picked."""
+    total = cdf[:, -1]
+    # a product that rounds up to `total` would step past the last entry
+    u = np.minimum(rng.gen.random(len(cdf)) * total, np.nextafter(total, 0.0))
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
-@lru_cache(maxsize=32)
-def _block_gso(p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """_gso of the family block basis, computed once per p."""
-    mu, norms = _gso(_cyclotomic_block_basis(p))
-    mu.flags.writeable = norms.flags.writeable = False
-    return mu, norms
+def _sample_block(p: int, w: float, count: int, rng: RngHandle) -> np.ndarray:
+    """`count` exact draws from D_{L, w}, L the embedded Z[zeta_p] (Gram
+    p*I - J), as coefficients on 1, zeta, .., zeta^(p-2).
 
-
-def _klein_batch(gso: Tuple[np.ndarray, np.ndarray], r: float, count: int,
-                 rng: RngHandle) -> Tuple[np.ndarray, bool]:
-    """`count` draws of the integer combination z for D_{lattice(B), r},
-    given gso = _gso(B).
-
-    Returns (z array of shape (count, n), fidelity_warned).
+    L is sqrt(p) times Z^p projected onto the sum-zero hyperplane:
+    x in Z^p maps to sum x_i zeta^i, with squared norm p ||x||^2 - (sum x)^2,
+    and x + Z*1 is one point.  Under i.i.d. x_i ~ g, the line x + Z*1
+    weighs rho_{L, w}(point) * theta(sum x mod p).  So the sum's class j is
+    drawn with weight H[p][j] / theta(j), then x_0 .. x_{p-1} one by one,
+    each conditioned on the classes of the later coordinates summing to
+    what remains of j.  Every step is exact up to the tail cut of g; the
+    cost is O(p^2) per draw whatever the width.
     """
-    mu, norms = gso
-    n = mu.shape[0]
-    widths = r / norms
-    warned = bool((widths < 4.0).any())
-    # work in basis coordinates: target 0, walk levels n-1 .. 0
-    z = np.zeros((count, n), dtype=np.int64)
-    # c[i] tracks the current center at level i in Gram-Schmidt coordinates
-    # of the *coefficient* representation:  center_i = -sum_{j>i} z_j mu[j, i]
-    for i in range(n - 1, -1, -1):
-        centers = -(z[:, i + 1:] @ mu[i + 1:, i]) if i + 1 < n else np.zeros(count)
-        cut = int(math.ceil(10.0 * widths[i])) + 1
-        z[:, i] = _sample_z_batch(np.asarray(centers, dtype=float), widths[i], cut, rng)
-    return z, warned
+    vals, cum, g_mod, diff, H, j_cdf = _block_tables(p, float(w))
+    j = _pick(np.broadcast_to(j_cdf, (count, p)), rng)
+    x = np.empty((count, p), dtype=np.int64)
+    for i in range(p):
+        # row j: weight of class rho for x_i when the rest must sum to j
+        step = np.cumsum(g_mod * H[p - 1 - i][diff], axis=1)
+        rho = _pick(step[j], rng)
+        x[:, i] = vals[rho, _pick(cum[rho], rng)]
+        j = (j - rho) % p
+    return x[:, :-1] - x[:, -1:]
 
 
 def sample_lattice_gauss_batch(ring: Ring, spec: GaussianSpec, rng: RngHandle,
-                               count: int, method: str = "auto") -> Tuple[np.ndarray, bool]:
-    """`count` coefficient vectors close in law to D_{iota(R), r}.
+                               count: int) -> Tuple[np.ndarray, bool]:
+    """`count` exact draws from D_{iota(R), r}, as coefficient vectors.
 
-    method "auto" picks the exact coefficient path for CycloRing and the
-    Klein walk for FamilyRing; "klein" forces the generic lattice walk
-    (useful for checking the two paths agree); "coeff" is CycloRing-only.
-
-    Returns (coeffs (count, deg) signed int64, fidelity_warned).
+    Returns (coeffs (count, deg) signed int64, False).  The second element
+    is always False; it is kept so that callers unpacking a (coeffs,
+    fidelity flag) pair keep working.
     """
     r = spec.r
     if isinstance(ring, CycloRing):
-        if method == "auto":
-            method = "coeff"
-        if method == "coeff":
-            # exact: iota is orthogonal with all directions scaled by sqrt(n)
-            one = GaussianSpec(r / math.sqrt(ring.n), spec.tail_cut)
-            draws = sample_dgauss_z(one, rng, size=count * ring.n)
-            return draws.reshape(count, ring.n), False
-        return _klein_batch(_gso(_embedding_matrix(ring)), r, count, rng)
-    if method == "coeff":
-        raise ValueError("coefficient-path sampling is exact only for CycloRing")
-    gso = _block_gso(ring.p)
-    z1, w1 = _klein_batch(gso, r / math.sqrt(2.0), count, rng)
-    z2, w2 = _klein_batch(gso, r / math.sqrt(2.0 * ring.d), count, rng)
-    return np.concatenate([z1, z2], axis=1), w1 or w2
-
-
-def sample_lattice_gauss(ring: Ring, spec: GaussianSpec, rng: RngHandle) -> RingElem:
-    """One draw from (a close approximation of) D_{iota(R), r}, in
-    coefficient coordinates.  Emits FidelityWarning below the width floor."""
-    coeffs, warned = sample_lattice_gauss_batch(ring, spec, rng, 1)
-    if warned:
-        warnings.warn("per-level sampling width below 4; lattice Gaussian "
-                      "fidelity is reduced", FidelityWarning, stacklevel=2)
-    return RingElem(coeffs[0])
+        # iota is orthogonal with all directions scaled by sqrt(n)
+        draws = sample_dgauss_z(GaussianSpec(r / math.sqrt(ring.n)), rng, size=count * ring.n)
+        return draws.reshape(count, ring.n), False
+    e1 = _sample_block(ring.p, r / math.sqrt(2.0), count, rng)
+    e2 = _sample_block(ring.p, r / math.sqrt(2.0 * ring.d), count, rng)
+    return np.concatenate([e1, e2], axis=1), False
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ independent of the code under test:
 
 * criterion 1 computes the exact probability that the sqrt(d)-block of the
   error collapses to zero (`block_collapse_probability`), the only event the
-  coset attack draws signal from;
+  coset attack draws signal from; the sampler's own collapse rate is tested
+  against it too;
 * criteria 3 and 4 evaluate the estimator's defining character sum term by
   term over every y != 0 (`full_grid_log2_eps_deg1`/`_deg2`), with their
   own root search and their own F_{q^2} arithmetic and no orbit collapsing.
@@ -23,6 +24,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
                                    VERDICT_NOT_RLWE, coset_attack,
@@ -34,7 +36,8 @@ from rlwe_workbench.estimator import (brute_force_distance, deg2_admissible,
 from rlwe_workbench.ffield import FieldCtx, frobenius, is_prime
 from rlwe_workbench.oracle import RlweInstance, draw_rlwe, draw_uniform
 from rlwe_workbench.rings import FamilyRing, reduce_mod_prime
-from rlwe_workbench.sampling import GaussianSpec, binomial_vk_pmf
+from rlwe_workbench.sampling import (GaussianSpec, RngHandle, binomial_vk_pmf,
+                                     sample_lattice_gauss_batch)
 
 # attack-scale rows: (p, d, q, printed width r, sample count)
 ATTACK_ROWS = [(43, 4871, 173, 694.94, 1730), (83, 4903, 167, 963.84, 1670)]
@@ -159,6 +162,24 @@ def test_block_collapse_probability_oracle():
             got = block_collapse_probability(p, w)
             assert abs(got - brute) < 1e-12 * brute, (p, w, got, brute)
     assert abs(block_collapse_probability(43, 200.0 / math.sqrt(2 * 4871)) - 0.99690) < 1e-5
+
+
+def test_sampler_collapse_rate_is_exact():
+    """The family sampler's rate of e2 = 0 against the theta series, on
+    100k draws per row, with an exact two-sided binomial test at 1e-4.  The
+    e2-block widths r / sqrt(2d) are 2.026 and 3.97 at p = 43 and 1.013 at
+    p = 7, where P(e2 = 0) is 0.9969, 0.0029 and 0.958."""
+    for p, d, q, r, seed in [(43, 4871, 173, 200.0, 1),
+                             (43, 4871, 173, 3.97 * math.sqrt(2 * 4871), 2),
+                             (7, 4871, 1051, 100.0, 3)]:
+        ring, rng = FamilyRing(p, d, q), RngHandle(seed)
+        collapsed = 0
+        for _ in range(5):
+            coeffs, _ = sample_lattice_gauss_batch(ring, GaussianSpec(r), rng, 20_000)
+            collapsed += int((~coeffs[:, p - 1:].any(axis=1)).sum())
+        exact = block_collapse_probability(p, r / math.sqrt(2 * d))
+        pvalue = scipy.stats.binomtest(collapsed, 100_000, exact).pvalue
+        assert pvalue > 1e-4, (p, r, collapsed, exact, pvalue)
 
 
 def test_criterion_1_coset_recovery_at_printed_widths():

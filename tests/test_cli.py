@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from rlwe_workbench.cli import main
+from rlwe_workbench.ffield import FieldCtx
+from rlwe_workbench.oracle import load
+from rlwe_workbench.rings import FamilyRing, reduce_mod_prime_batch
 
 
 def run(capsys, *argv):
@@ -70,8 +74,6 @@ def test_find_params_inadmissible(capsys):
 
 GEN = ("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "2.0",
        "--workers", "1")
-FIDELITY_NOTE = ("warning: lattice errors were drawn below the per-level width "
-                 "floor of 4; the sampler is measurably biased there")
 
 
 def test_gen_samples_stdout_and_file_agree(capsys, tmp_path):
@@ -79,8 +81,7 @@ def test_gen_samples_stdout_and_file_agree(capsys, tmp_path):
     code, out, err = run(capsys, *GEN, "--out", str(path))
     assert code == 0
     assert out == ""
-    # r = 2 puts every Klein level of (3, 2, 13) below width 4
-    assert err.splitlines() == [FIDELITY_NOTE, "wrote 130 gaussian record(s) (seed 0)"]
+    assert err.splitlines() == ["wrote 130 gaussian record(s) (seed 0)"]
     code, out2, _ = run(capsys, *GEN)
     assert code == 0
     assert out2 == path.read_text()
@@ -92,18 +93,6 @@ def test_gen_samples_stdout_and_file_agree(capsys, tmp_path):
                                    "q", "error_kind", "width_or_k", "seed",
                                    "count", "secret_hash"]
     assert len(out2.splitlines()) == 131  # header + default count 10q
-
-
-def test_gen_samples_fidelity_note(capsys):
-    # two 1024-record chunks on two workers: the flag crosses the pool
-    code, _, err = run(capsys, "gen-samples", "--p", "43", "--d", "4871", "--q", "173",
-                       "--r", "200", "--workers", "2")
-    assert code == 0
-    assert err.splitlines() == [FIDELITY_NOTE, "wrote 1730 gaussian record(s) (seed 0)"]
-    code, _, err = run(capsys, "gen-samples", "--m", "64", "--q", "193", "--k", "4",
-                       "--workers", "1")
-    assert code == 0
-    assert err.splitlines() == ["wrote 1930 binomial record(s) (seed 0)"]
 
 
 def test_gen_samples_validation(capsys):
@@ -214,7 +203,13 @@ def test_attack_min_samples(capsys, tmp_path):
                        "--samples", str(path), "--workers", "1",
                        "--min-samples", "15")
     assert code == 0
-    assert json.loads(out)["candidate"] == [12, 0]
+    # the floor is lifted: every coset is scored on every record with a2 != 0
+    report = json.loads(out)
+    _, a2 = reduce_mod_prime_batch(load(path).a, FamilyRing(3, 2, 13),
+                                   FieldCtx.for_family(3, 2, 13))
+    assert report["guesses_evaluated"] == 13
+    assert report["samples_used"] == int(np.count_nonzero(a2)) >= 15
+    assert len(report["chi2_by_index"]) == 13
 
 
 def test_attack_file_errors(capsys, tmp_path):

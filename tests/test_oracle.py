@@ -2,7 +2,6 @@
 
 import io
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ from rlwe_workbench.oracle import (RlweInstance, SampleFileError, SampleSet,
                                    _HEADER_KEYS, draw_rlwe, draw_uniform, dump,
                                    load, save, secret_commitment)
 from rlwe_workbench.rings import CycloRing, FamilyRing, RingElem, ring_mul
-from rlwe_workbench.sampling import (BinomialSpec, FidelityWarning, GaussianSpec,
-                                     RngHandle, sample_lattice_gauss_batch)
+from rlwe_workbench.sampling import (BinomialSpec, GaussianSpec, RngHandle,
+                                     sample_lattice_gauss_batch)
 
 R = FamilyRing(3, 2, 13)
 C = CycloRing(8, 17)
@@ -94,19 +93,6 @@ def test_worker_count_does_not_change_bytes():
     dump(s1, buf1)
     dump(s3, buf3)
     assert buf1.getvalue() == buf3.getvalue()
-
-
-def test_fidelity_flag_reaches_the_caller():
-    # e2-block widths: r / sqrt(2d) over Gram-Schmidt norms near 1.2-1.4
-    narrow = RlweInstance.generate(R, GaussianSpec(6.0), seed=9)
-    for workers in (1, 2):
-        with pytest.warns(FidelityWarning) as caught:
-            draw_rlwe(narrow, 2100, workers=workers)
-        assert len(caught) == 1
-    wide = RlweInstance.generate(R, GaussianSpec(40.0), seed=9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        draw_rlwe(wide, 2100, workers=2)
 
 
 def test_uniform_decoy_header_and_determinism():
@@ -203,16 +189,39 @@ def test_load_wrong_length_vector(tmp_path):
 
 
 def test_load_out_of_range_coefficient(tmp_path):
-    lines = _lines(tmp_path)
-    lines[1] = json.dumps({"a": [0, 0, 0, 13], "b": [0, 0, 0, 0]})
-    with pytest.raises(SampleFileError, match=r"outside \[0, 13\)"):
+    # out-of-range and huge ints, floats, strings, null and nested lists
+    lines = _lines(tmp_path, count=3)
+    for bad in (13, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 70, -2 ** 70, 0.5, 1.0, "3",
+                None, [1], []):
+        rec = json.loads(lines[2])
+        rec["b"][1] = bad
+        with pytest.raises(SampleFileError,
+                           match=r"^line 3: record 1: 'b' has coefficients outside \[0, 13\)$"):
+            load(_write(tmp_path, lines[:2] + [json.dumps(rec)] + lines[3:]))
+
+
+def test_load_accepts_json_booleans(tmp_path):
+    # JSON true/false decode to Python bools, which are ints
+    lines = _lines(tmp_path, count=2)
+    lines[1] = json.dumps({"a": [True, False, 1, 12], "b": [True] * 4})
+    ss = load(_write(tmp_path, lines))
+    assert ss.a[0].tolist() == [1, 0, 1, 12] and ss.b[0].tolist() == [1] * 4
+    assert ss.a.dtype == np.int64
+
+
+def test_load_reports_the_first_fault_in_file_order(tmp_path):
+    lines = _lines(tmp_path, count=4)
+    rec = json.loads(lines[2])
+    rec["a"][0] = 0.5
+    lines[2] = json.dumps(rec)
+    lines[3] = "{broken"
+    with pytest.raises(SampleFileError, match="record 1: 'a' has coefficients") as ei:
         load(_write(tmp_path, lines))
-    lines[1] = json.dumps({"a": [0, 0, 0, -1], "b": [0, 0, 0, 0]})
-    with pytest.raises(SampleFileError, match=r"outside \[0, 13\)"):
+    assert ei.value.line == 3
+    lines[2] = json.dumps({"a": [0, 0, 0, 0], "b": [0, 0, 0]})
+    with pytest.raises(SampleFileError, match="record 1: 'b' is not a length-4") as ei:
         load(_write(tmp_path, lines))
-    lines[1] = json.dumps({"a": [0, 0, 0, 0.5], "b": [0, 0, 0, 0]})
-    with pytest.raises(SampleFileError, match=r"outside \[0, 13\)"):
-        load(_write(tmp_path, lines))
+    assert ei.value.line == 3
 
 
 def test_load_extra_record(tmp_path):
