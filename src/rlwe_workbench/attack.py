@@ -100,10 +100,14 @@ class AttackOutcome:
     beta_chi: float = float("nan")
 
     def report(self) -> dict:
+        # round(., 6) once per distinct score: the two-bin scores take only
+        # as many values as there are distinct bin-1 counts
+        values, index = np.unique(self.chi2_by_index, return_inverse=True)
+        rounded = [round(v, 6) for v in values.tolist()]
         return {
             "verdict": self.verdict,
             "candidate": list(self.candidate) if self.candidate is not None else None,
-            "chi2_by_index": [round(v, 6) for v in self.chi2_by_index.tolist()],
+            "chi2_by_index": [rounded[i] for i in index.tolist()],
             "samples_used": self.samples_used,
             "elapsed_ms": round(self.elapsed_ms, 3),
             "guesses_evaluated": self.guesses_evaluated,

@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 
 from . import family as family_mod
@@ -44,10 +43,6 @@ def _out_stream(path):
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
 
 
 # ------------------------------------------------------------- find-params
@@ -101,7 +96,7 @@ def cmd_gen_samples(args) -> int:
     if args.uniform:
         sample_set = oracle_mod.draw_uniform(instance, count)
     else:
-        sample_set = oracle_mod.draw_rlwe(instance, count, workers=args.workers)
+        sample_set = oracle_mod.draw_rlwe(instance, count)
     with _out_stream(args.out) as fh:
         oracle_mod.dump(sample_set, fh)
     _note("wrote %d %s record(s) (seed %d)"
@@ -135,8 +130,7 @@ def cmd_estimate(args) -> int:
     if args.degree == 1:
         report = epsilon(args.m, args.q, args.k)
     else:
-        report = epsilon_deg2(args.m, args.q, args.k, workers=args.workers,
-                              long_run=args.long_run)
+        report = epsilon_deg2(args.m, args.q, args.k, long_run=args.long_run)
     header = "m,q,k,degree,neg_floor_log2_eps,log2_bound,beta,runtime_ms"
     row = "%d,%d,%d,%d,%d,%s,%.6f,%.3f" % (
         report.m, report.q, report.k, report.degree, report.neg_floor_log2_eps,
@@ -158,6 +152,9 @@ def cmd_estimate(args) -> int:
 
 
 # ----------------------------------------------------------------- parsing
+
+_WORKERS_HELP = "accepted for compatibility and ignored: every subcommand runs in one process"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -189,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--count", type=int, help="records to draw (default 10q)")
     gs.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     gs.add_argument("--uniform", action="store_true", help="uniform decoy set")
-    gs.add_argument("--workers", type=int, default=_default_workers())
+    gs.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     gs.add_argument("--out", help="sample file path (default stdout)")
     gs.set_defaults(func=cmd_gen_samples)
 
@@ -199,8 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     at.add_argument("--beta-chi", type=float, help="chi-square flag threshold "
                     "(default: family-wise per attack)")
     at.add_argument("--min-samples", type=int, help="usable-sample floor (default 5q)")
-    at.add_argument("--workers", type=int, default=_default_workers(),
-                    help="accepted for compatibility; the attacks run in one process")
+    at.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     at.add_argument("--out", help="JSON report path (default stdout)")
     at.set_defaults(func=cmd_attack)
 
@@ -218,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="empirical per-coefficient width (default sqrt(2*pi))")
     es.add_argument("--count", type=int, help="empirical sample count (default 10q)")
     es.add_argument("--seed", type=int, default=0, help="empirical seed (default 0)")
-    es.add_argument("--workers", type=int, default=_default_workers())
+    es.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     es.add_argument("--out", help="CSV path (default stdout)")
     es.set_defaults(func=cmd_estimate)
     return parser

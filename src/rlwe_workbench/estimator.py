@@ -33,21 +33,30 @@ integer modular arithmetic only.
 The degree-2 variant replaces F_q by F_{q^2} (alpha of order m | q^2-1,
 m not dividing q-1) and puts a trace inside the cosine:
 term(y) = prod_{i=1}^{n} cos(pi * Tr(alpha^i y) / q)^k over y != 0 in
-F_{q^2}, with Tr(u + v*sqrt(w)) = 2u.  Same orbit structure, (q^2-1)/2
-cosine evaluations; instances with q^2 > 1.5e6 sit behind long_run=True.
+F_{q^2}, with Tr(u + v*sqrt(w)) = 2u.  Same H-orbit structure: one term
+per coset g^j H, j < t = (q^2-1)/m, for g a generator of F_{q^2}*.
+Instances with q^2 > 1.5e6 sit behind long_run=True.
+
+The Frobenius y -> y^q fixes the degree-2 term as well.  With q' the
+inverse of q mod m, alpha^i y^q = (alpha^(i q') y)^q and the trace is
+Frobenius-invariant, so Tr(alpha^i y^q) = Tr(alpha^(i q') y).  The factor
+for i depends only on i mod n (alpha^n = -1 flips the trace's sign and
+cos^k is even), and i -> i q' permutes the residues mod n since q' is odd:
+term(y^q) = term(y).  Frobenius sends the coset g^j H to g^(jq mod t) H,
+and q^2 = 1 (mod t), so its orbits on the cosets have size 1 (t | j(q-1))
+or 2.  The sum takes one term per orbit, weighted by the orbit size: a
+little over half of the (q^2-1)/2 cosine evaluations.
 
 The field kit comes from the ffield module: root_of_unity and power_table
 in F_q, and in F_{q^2} = FieldCtx(q) (w is its d_red, the smallest
 nonresidue) fq2_generator and fq2_power_table, whose (u, v) arrays keep the
-orbit walk vectorised.  Only the degree-2 orbit sum fans out over a process
-pool (epsilon_deg2's `workers`), the one loop here measured to gain from it.
+orbit walk vectorised.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -197,8 +206,9 @@ def nearest_admissible_q_deg2(m: int, q0: int) -> int:
     raise ValueError("no admissible q near %d for m=%d" % (q0, m))
 
 
-def _deg2_chunk(args):
-    u, v, cs, ds, q, w, k = args
+def _deg2_coset_logs(u, v, cs, ds, q: int, w: int, k: int) -> np.ndarray:
+    """log2 of the term at each coset representative y = u + v sqrt(w),
+    with alpha^i = cs[i] + ds[i] sqrt(w) running over i = 1..n."""
     logs = np.zeros(len(u), dtype=np.float64)
     for c, d in zip(cs, ds):
         # Tr((c + d sqrt(w)) (u + v sqrt(w))) = 2 (c u + d v w)
@@ -207,8 +217,7 @@ def _deg2_chunk(args):
     return k * logs
 
 
-def epsilon_deg2(m: int, q: int, k: int, workers: int = 1,
-                 long_run: bool = False) -> EstimateReport:
+def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateReport:
     """Degree-2 estimate: y runs over F_{q^2} \\ {0}, trace inside the cosine."""
     t0 = time.perf_counter()
     _check_mk(m, k)
@@ -222,21 +231,19 @@ def epsilon_deg2(m: int, q: int, k: int, workers: int = 1,
         raise ValueError("q^2 = %d exceeds the desk-scale budget; pass long_run=True"
                          % (q * q))
     ctx = FieldCtx(q)  # d_red = smallest nonresidue w
-    w = ctx.d_red
     t = (q * q - 1) // m
     g = fq2_generator(ctx)
+    # coset g^j H goes to g^(jq) H under Frobenius: one term per orbit
+    # {j, jq mod t}, from its smaller index, counted twice when j != jq
+    j = np.arange(t)
+    jq = j * q % t
+    rep = j <= jq
     u, v = fq2_power_table(g, t)
     # alpha = g^t has order m; apow[j] = alpha^j for j < m
     apow = fq2_power_table(g ** t, m)
     cs, ds = apow[0][1:m // 2 + 1], apow[1][1:m // 2 + 1]  # alpha^1 .. alpha^n
-    if workers > 1 and t >= 4 * workers:
-        spans = np.array_split(np.arange(t), workers)
-        jobs = [(u[s], v[s], cs, ds, q, w, k) for s in spans if len(s)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_deg2_chunk, jobs))
-        orbit_logs = np.concatenate(parts)
-    else:
-        orbit_logs = _deg2_chunk((u, v, cs, ds, q, w, k))
+    orbit_logs = (_deg2_coset_logs(u[rep], v[rep], cs, ds, q, ctx.d_red, k)
+                  + (jq[rep] != j[rep]))  # log2 of the orbit size
     log2_eps = _assemble_log2_eps(m, orbit_logs)
     # alpha^j for odd j: the phi(m) order-m roots
     per_root = {(int(a), int(b)): log2_eps

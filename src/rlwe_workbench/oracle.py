@@ -21,16 +21,16 @@ checked later against a disclosed secret.
 Determinism
 -----------
 (seed, count) fully determine the bytes of a sample set.  Generation is
-chunked at a fixed 1024 records with one forked RNG per chunk, so parallel
-generation with any worker count produces identical files.  Within a chunk
-the draw order is: all a-vectors, then all errors.  The secret uses its own
-fork index 2^63, outside the chunk range.
+chunked at a fixed 1024 records with one forked RNG per chunk; the file
+bytes depend on that chunking, so it stays fixed.  Within a chunk the draw
+order is: all a-vectors, then all errors, and b = a*s + e is one ring_mul
+call over the chunk's a-vectors.  The secret uses its own fork index 2^63,
+outside the chunk range.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Optional, Union
@@ -135,21 +135,15 @@ def _sample_errors(ring: Ring, error: ErrorSpec, rng: RngHandle, count: int):
     return sample_lattice_gauss_batch(ring, error, rng, count)[0]
 
 
-def _gen_chunk(args):
-    ring, error, secret_coeffs, seed, start, n = args
+def _gen_chunk(ring, error, secret, seed, start, n):
+    """Records start .. start + n - 1 as (a, b) arrays."""
     rng = RngHandle(seed).fork(start // _CHUNK)
-    q, deg = ring.q, ring.deg
-    a = rng.gen.integers(0, q, size=(n, deg), dtype=np.int64)
+    a = rng.gen.integers(0, ring.q, size=(n, ring.deg), dtype=np.int64)
     e = _sample_errors(ring, error, rng, n)
-    b = np.empty((n, deg), dtype=np.int64)
-    s = RingElem(secret_coeffs)
-    for i in range(n):
-        prod = ring_mul(RingElem(a[i]), s, ring)
-        b[i] = (prod.coeffs + e[i]) % q
-    return start, a, b
+    return a, (ring_mul(a, secret, ring) + e) % ring.q
 
 
-def draw_rlwe(instance: RlweInstance, count: int, workers: int = 1) -> SampleSet:
+def draw_rlwe(instance: RlweInstance, count: int) -> SampleSet:
     """count records (a, b = a*s + e) with a uniform in R/qR."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -157,18 +151,12 @@ def draw_rlwe(instance: RlweInstance, count: int, workers: int = 1) -> SampleSet
     kind, wk = _error_fields(instance.error)
     header = _header(ring, kind, wk, instance.seed, count,
                      secret_commitment(instance.secret.coeffs, ring.q))
-    jobs = [(ring, instance.error, instance.secret.coeffs, instance.seed,
-             start, min(_CHUNK, count - start)) for start in range(0, count, _CHUNK)]
     a = np.empty((count, ring.deg), dtype=np.int64)
     b = np.empty((count, ring.deg), dtype=np.int64)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_gen_chunk, jobs))
-    else:
-        results = [_gen_chunk(j) for j in jobs]
-    for start, ca, cb in results:
-        a[start:start + len(ca)] = ca
-        b[start:start + len(cb)] = cb
+    for start in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - start)
+        a[start:start + n], b[start:start + n] = _gen_chunk(
+            ring, instance.error, instance.secret, instance.seed, start, n)
     return SampleSet(header, a, b)
 
 
@@ -198,6 +186,8 @@ class SampleFileError(ValueError):
 
 _HEADER_KEYS = ["schema_version", "ring_kind", "p", "d", "m", "q",
                 "error_kind", "width_or_k", "seed", "count", "secret_hash"]
+_INT_KEYS = ["schema_version", "q", "seed", "count"]
+_RING_INT_KEYS = ["p", "d", "m"]  # null where the ring kind has no such parameter
 
 
 def dump(sample_set: SampleSet, fh) -> None:
@@ -239,9 +229,18 @@ def load(path) -> SampleSet:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as e:
             raise SampleFileError(1, "bad header JSON (%s)" % e) from e
+        if not isinstance(header, dict):
+            raise SampleFileError(1, "header is not a JSON object")
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise SampleFileError(1, "header missing keys %s" % missing)
+        for key in _INT_KEYS + _RING_INT_KEYS:
+            value = header[key]
+            if (type(value) is not int  # bools and floats are refused too
+                    and not (value is None and key in _RING_INT_KEYS)):
+                raise SampleFileError(1, "header %r must be an integer, got %r" % (key, value))
+        if header["count"] < 0:
+            raise SampleFileError(1, "header count %d is negative" % header["count"])
         try:
             ring = _ring_from_header(header)
         except (ValueError, TypeError) as e:
@@ -272,6 +271,9 @@ def load(path) -> SampleSet:
             except json.JSONDecodeError as e:
                 flush()
                 raise SampleFileError(lineno, "bad record JSON (%s)" % e) from e
+            if not isinstance(rec, dict):
+                flush()
+                raise SampleFileError(lineno, "record %d is not a JSON object" % got)
             linenos.append(lineno)
             for key in ("a", "b"):
                 vec = rec.get(key)

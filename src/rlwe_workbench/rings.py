@@ -47,6 +47,7 @@ class FamilyRing:
             raise ValueError("FamilyRing: p must be an odd prime, got %d" % self.p)
         if self.d <= 1:
             raise ValueError("FamilyRing: d must exceed 1, got %d" % self.d)
+        _check_int64(self)
 
     @property
     def family_n(self) -> int:
@@ -73,6 +74,7 @@ class CycloRing:
             raise ValueError("CycloRing: m must be a power of 2 >= 4, got %d" % self.m)
         if (self.q - 1) % self.m != 0:
             raise ValueError("CycloRing: q = %d is not 1 mod m = %d" % (self.q, self.m))
+        _check_int64(self)
 
     @property
     def n(self) -> int:
@@ -94,6 +96,14 @@ class CycloRing:
 
 
 Ring = Union[FamilyRing, CycloRing]
+
+
+def _check_int64(ring: Ring) -> None:
+    """Products in R/qR and the reduction maps sum deg products of residues
+    in [0, q) in int64; refuse a ring where that sum could wrap."""
+    if ring.deg * (ring.q - 1) ** 2 >= 1 << 63:
+        raise ValueError("%s: deg * (q - 1)^2 must stay below 2^63 for int64 "
+                         "arithmetic; q = %d is too large" % (type(ring).__name__, ring.q))
 
 
 class RingElem:
@@ -120,38 +130,39 @@ def _check_len(x: RingElem, ring: Ring):
                          % (len(x), ring.deg))
 
 
-def _cyclotomic_mul(a: np.ndarray, b: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Product in Z[zeta_p]/q over the basis 1..zeta^(p-2).
+def _mul_matrix(s: RingElem, ring: Ring) -> np.ndarray:
+    """The matrix M of multiplication by s in R/qR (x*s = x @ M), entries in [0, q).
 
-    Lift to Z[x]/(x^p - 1) (cyclic convolution), then eliminate the x^(p-1)
-    coefficient using zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
+    CycloRing: the negacyclic matrix M[i, j] = s[j - i], negated where
+    j < i (x^n = -1).  FamilyRing: M = [[S1, S2], [d S2, S1]], where the
+    Z[zeta_p] block S of s has the x^p - 1 circulant rows s[(j - i) mod p]
+    (s padded with 0 at x^(p-1)), its x^(p-1) column folded back by
+    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
     """
-    full = np.convolve(a, b)
-    cyc = np.zeros(p, dtype=np.int64)
-    for i in range(len(full)):
-        cyc[i % p] += full[i]
-    return (cyc[:p - 1] - cyc[p - 1]) % q
-
-
-def ring_mul(x: RingElem, y: RingElem, ring: Ring) -> RingElem:
-    """Product in R/qR."""
-    _check_len(x, ring)
-    _check_len(y, ring)
     q = ring.q
     if isinstance(ring, CycloRing):
-        n = ring.n
-        full = np.convolve(x.coeffs, y.coeffs)
-        out = np.zeros(n, dtype=np.int64)
-        out[:len(full[:n])] = full[:n]
-        out[:len(full) - n] -= full[n:]  # x^n = -1
-        return RingElem(out % q)
-    n = ring.family_n
-    x1, x2 = x.coeffs[:n], x.coeffs[n:]
-    y1, y2 = y.coeffs[:n], y.coeffs[n:]
-    # (x1 + x2 sqrt(d))(y1 + y2 sqrt(d)) = (x1 y1 + d x2 y2) + (x1 y2 + x2 y1) sqrt(d)
-    u = (_cyclotomic_mul(x1, y1, ring.p, q) + ring.d * _cyclotomic_mul(x2, y2, ring.p, q)) % q
-    v = (_cyclotomic_mul(x1, y2, ring.p, q) + _cyclotomic_mul(x2, y1, ring.p, q)) % q
-    return RingElem(np.concatenate([u, v]))
+        shift = np.arange(ring.n) - np.arange(ring.n)[:, None]
+        return np.where(shift >= 0, 1, -1) * s.coeffs[shift % ring.n] % q
+    p, n = ring.p, ring.family_n
+    shift = (np.arange(p) - np.arange(n)[:, None]) % p
+
+    def block(c):
+        cyc = np.append(c % q, 0)[shift]
+        return (cyc[:, :n] - cyc[:, n:]) % q
+    s1, s2 = block(s.coeffs[:n]), block(s.coeffs[n:])
+    return np.block([[s1, s2], [ring.d % q * s2 % q, s1]])
+
+
+def ring_mul(x, y: RingElem, ring: Ring):
+    """Product x*y in R/qR.  x is a RingElem, or a (count, deg) array of
+    coefficient rows multiplied by y at once; the result takes x's form."""
+    rows = x.coeffs[None, :] if isinstance(x, RingElem) else np.asarray(x, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != ring.deg:
+        raise ValueError("coefficient rows have shape %s, ring degree is %d"
+                         % (rows.shape, ring.deg))
+    _check_len(y, ring)
+    out = (rows % ring.q) @ _mul_matrix(y, ring) % ring.q
+    return RingElem(out[0]) if isinstance(x, RingElem) else out
 
 
 @lru_cache(maxsize=32)

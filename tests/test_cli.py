@@ -116,6 +116,16 @@ def test_gen_samples_validation(capsys):
         assert needle in err, (argv, err)
 
 
+def test_gen_samples_refuses_a_modulus_that_overflows_int64(capsys, tmp_path):
+    # 2 * (q - 1)^2 = 2^65: the int64 ring products would wrap
+    path = tmp_path / "big.jsonl"
+    code, out, err = run(capsys, "gen-samples", "--m", "4", "--q", "4294967297",
+                         "--k", "2", "--out", str(path))
+    assert code == 2 and out == ""
+    assert "2^63" in err
+    assert not path.exists()
+
+
 def test_gen_samples_uniform_note(capsys, tmp_path):
     path = tmp_path / "u.jsonl"
     code, _, err = run(capsys, *GEN, "--uniform", "--count", "200",
@@ -149,17 +159,27 @@ def test_attack_round_trip(capsys, sample_file):
     assert rep["guesses_evaluated"] == 169  # the last run was two-bin
 
 
-def test_attack_workers_flag_accepted_and_ignored(capsys, sample_file):
-    for kind in ("coset", "two-bin"):
-        reports = []
+@pytest.mark.parametrize("command", ["gen-samples", "attack", "estimate"])
+def test_attack_workers_flag_accepted_and_ignored(capsys, sample_file, command):
+    # every subcommand runs in one process; --workers is accepted and ignored
+    argvs = {
+        "gen-samples": [GEN[:-2] + ("--count", "2100")],  # three 1024-record chunks
+        "attack": [("attack", "--attack", kind, "--samples", str(sample_file))
+                   for kind in ("coset", "two-bin")],
+        "estimate": [("estimate", "--m", "128", "--q", "1151", "--degree", "2")],
+    }[command]
+    for argv in argvs:
+        outputs = []
         for workers in ("1", "3"):
-            code, out, _ = run(capsys, "attack", "--attack", kind,
-                               "--samples", str(sample_file), "--workers", workers)
+            code, out, _ = run(capsys, *argv, "--workers", workers)
             assert code == 0
-            rep = json.loads(out)
-            del rep["elapsed_ms"]
-            reports.append(rep)
-        assert reports[0] == reports[1]
+            if command == "attack":
+                out = json.loads(out)
+                del out["elapsed_ms"]
+            elif command == "estimate":  # runtime_ms is the last column
+                out = [line.rsplit(",", 1)[0] for line in out.splitlines()]
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 def test_attack_out_file(capsys, sample_file, tmp_path):

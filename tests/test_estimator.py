@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rlwe_workbench.estimator import (EstimateReport, _logsumexp2,
+from rlwe_workbench.estimator import (EstimateReport, _deg2_coset_logs, _logsumexp2,
                                       brute_force_distance, brute_force_pmf,
                                       deg2_admissible, empirical_uniformity,
                                       epsilon, epsilon_deg2, epsilon_for_alpha,
@@ -13,6 +13,7 @@ from rlwe_workbench.estimator import (EstimateReport, _logsumexp2,
                                       nearest_admissible_q_deg2, nu_hat,
                                       theoretical_bound)
 from rlwe_workbench.attack import critical_value
+from rlwe_workbench.ffield import FieldCtx, fq2_generator, fq2_power_table
 from rlwe_workbench.sampling import binomial_vk_pmf
 
 
@@ -199,10 +200,18 @@ def test_deg2_per_root_structure():
     assert len(set(rep.per_root_log2.values())) == 1
 
 
-def test_deg2_workers_agree():
-    one = epsilon_deg2(128, 1151, 2, workers=1)
-    two = epsilon_deg2(128, 1151, 2, workers=2)
-    assert abs(one.log2_eps - two.log2_eps) < 1e-12
+@pytest.mark.parametrize("m, q", [(64, 383), (128, 1151)])
+def test_deg2_coset_terms_are_frobenius_invariant(m, q):
+    # the term at coset g^j H equals the term at g^(jq mod t) H, which lets
+    # epsilon_deg2 sum once per Frobenius orbit
+    ctx = FieldCtx(q)
+    t = (q * q - 1) // m
+    g = fq2_generator(ctx)
+    u, v = fq2_power_table(g, t)
+    cs, ds = fq2_power_table(g ** t, m // 2 + 1)
+    logs = _deg2_coset_logs(u, v, cs[1:], ds[1:], q, ctx.d_red, 2)
+    j = np.arange(t)
+    assert np.abs(logs - logs[j * q % t]).max() < 1e-12
 
 
 # ------------------------------------------------------- model-level oracles

@@ -82,19 +82,6 @@ def test_gaussian_records_replay_from_seed():
         assert np.array_equal(ss.b[i], (prod.coeffs + e[i]) % 13)
 
 
-def test_worker_count_does_not_change_bytes():
-    inst = RlweInstance.generate(R, GaussianSpec(6.0), seed=9)
-    s1 = draw_rlwe(inst, 2100, workers=1)
-    s3 = draw_rlwe(inst, 2100, workers=3)
-    assert np.array_equal(s1.a, s3.a)
-    assert np.array_equal(s1.b, s3.b)
-    assert s1.header == s3.header
-    buf1, buf3 = io.StringIO(), io.StringIO()
-    dump(s1, buf1)
-    dump(s3, buf3)
-    assert buf1.getvalue() == buf3.getvalue()
-
-
 def test_uniform_decoy_header_and_determinism():
     inst = RlweInstance.generate(R, GaussianSpec(6.0), seed=3)
     u1 = draw_uniform(inst, 1500)
@@ -150,6 +137,35 @@ def test_load_bad_header_json(tmp_path):
     assert ei.value.line == 1
 
 
+def test_load_header_not_an_object(tmp_path):
+    for header in ("[1, 2]", "7", "null", '"header"'):
+        with pytest.raises(SampleFileError, match="header is not a JSON object") as ei:
+            load(_write(tmp_path, [header]))
+        assert ei.value.line == 1
+
+
+def test_load_header_field_types(tmp_path):
+    lines = _lines(tmp_path)
+    cases = [(key, bad) for key in ("schema_version", "q", "seed", "count")
+             for bad in ("40", True, 13.0, None, [4])]
+    cases += [(key, bad) for key in ("p", "d", "m") for bad in ("3", False, 3.0)]
+    for key, bad in cases:
+        h = json.loads(lines[0])
+        h[key] = bad
+        with pytest.raises(SampleFileError, match="header %r must be an integer" % key) as ei:
+            load(_write(tmp_path, [json.dumps(h)] + lines[1:]))
+        assert ei.value.line == 1, (key, bad)
+
+
+def test_load_negative_count(tmp_path):
+    lines = _lines(tmp_path)
+    h = json.loads(lines[0])
+    h["count"] = -1
+    with pytest.raises(SampleFileError, match="header count -1 is negative") as ei:
+        load(_write(tmp_path, [json.dumps(h)] + lines[1:]))
+    assert ei.value.line == 1
+
+
 def test_load_header_missing_keys(tmp_path):
     path = _write(tmp_path, [json.dumps({"schema_version": 1, "q": 13})])
     with pytest.raises(SampleFileError, match="header missing keys") as ei:
@@ -170,6 +186,12 @@ def test_load_bad_ring_parameters(tmp_path):
     path = _write(tmp_path, [json.dumps(h)] + lines[1:])
     with pytest.raises(SampleFileError, match="bad ring parameters"):
         load(path)
+    # deg * (q - 1)^2 >= 2^63 would wrap int64 products
+    h["ring_kind"], h["m"], h["q"] = "cyclo", 4, 2 ** 32 + 1
+    path = _write(tmp_path, [json.dumps(h)] + lines[1:])
+    with pytest.raises(SampleFileError, match="bad ring parameters .*2\\^63") as ei:
+        load(path)
+    assert ei.value.line == 1
 
 
 def test_load_bad_record_json(tmp_path):
@@ -178,6 +200,14 @@ def test_load_bad_record_json(tmp_path):
     with pytest.raises(SampleFileError, match="bad record JSON") as ei:
         load(_write(tmp_path, lines))
     assert ei.value.line == 3
+
+
+def test_load_record_not_an_object(tmp_path):
+    lines = _lines(tmp_path)
+    for bad in ("[1, 2]", "3", "null"):
+        with pytest.raises(SampleFileError, match="record 1 is not a JSON object") as ei:
+            load(_write(tmp_path, lines[:2] + [bad] + lines[3:]))
+        assert ei.value.line == 3
 
 
 def test_load_wrong_length_vector(tmp_path):

@@ -31,6 +31,11 @@ def test_ring_validation():
         CycloRing(6, 13)
     with pytest.raises(ValueError):
         CycloRing(8, 19)  # 19 is not 1 mod 8
+    # deg * (q - 1)^2 >= 2^63 would wrap the int64 products
+    with pytest.raises(ValueError, match="2\\^63"):
+        CycloRing(4, 2 ** 32 + 1)
+    with pytest.raises(ValueError, match="2\\^63"):
+        FamilyRing(3, 2, 2 ** 31 + 1)
 
 
 def test_ring_mul_hand_cases_family():
@@ -68,6 +73,17 @@ def test_ring_mul_algebra_laws():
             assert lhs == RingElem(rhs)
 
 
+def test_ring_mul_batch_matches_row_by_row():
+    rng = np.random.default_rng(2)
+    for ring in (R3, FamilyRing(43, 4871, 173), C8, CycloRing(64, 193)):
+        s = RingElem(rng.integers(0, ring.q, ring.deg))
+        rows = rng.integers(-ring.q, 2 * ring.q, size=(7, ring.deg))
+        batch = ring_mul(rows, s, ring)
+        assert batch.shape == rows.shape
+        for row, got in zip(rows, batch):
+            assert ring_mul(RingElem(row), s, ring) == RingElem(got)
+
+
 def _complex_eval(coeffs, ring):
     """Evaluate at zeta -> exp(2 pi i / p) (and sqrt(d) -> +sqrt(d)) or
     zeta_m -> exp(2 pi i / m); an exact ring homomorphism to C."""
@@ -99,6 +115,10 @@ def test_ring_mul_matches_complex_evaluation():
 def test_ring_mul_length_check():
     with pytest.raises(ValueError):
         ring_mul(RingElem([1, 2]), RingElem([1, 2, 3, 4]), R3)
+    with pytest.raises(ValueError):
+        ring_mul(RingElem([1, 2, 3, 4]), RingElem([1, 2]), R3)
+    with pytest.raises(ValueError):
+        ring_mul(np.zeros((3, 2), dtype=np.int64), RingElem([1, 2, 3, 4]), R3)
 
 
 def test_gram_frozen_small_family():
