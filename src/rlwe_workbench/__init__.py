@@ -6,22 +6,22 @@ the two-bin and coset chi-square attacks, and a Fourier-analytic uniformity
 estimator for reduced error distributions.
 """
 
-from .ffield import FieldCtx, Fq2Elem, legendre, is_prime, find_order_p_element
+from .ffield import FieldCtx, Fq2Elem, legendre, is_prime
 from .rings import FamilyRing, CycloRing, RingElem
 from .sampling import GaussianSpec, BinomialSpec, RngHandle, tail_bound, compute_beta
 from .oracle import RlweInstance, SampleSet, draw_rlwe, draw_uniform
 from .attack import AttackConfig, AttackOutcome, two_bin_attack, coset_attack, critical_value
-from .family import FamilyParams, validate, search_q, extend_d
+from .family import validate, search_q, extend_d
 from .estimator import EstimateReport, epsilon, epsilon_deg2, theoretical_bound
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldCtx", "Fq2Elem", "legendre", "is_prime", "find_order_p_element",
+    "FieldCtx", "Fq2Elem", "legendre", "is_prime",
     "FamilyRing", "CycloRing", "RingElem",
     "GaussianSpec", "BinomialSpec", "RngHandle", "tail_bound", "compute_beta",
     "RlweInstance", "SampleSet", "draw_rlwe", "draw_uniform",
     "AttackConfig", "AttackOutcome", "two_bin_attack", "coset_attack", "critical_value",
-    "FamilyParams", "validate", "search_q", "extend_d",
+    "validate", "search_q", "extend_d",
     "EstimateReport", "epsilon", "epsilon_deg2", "theoretical_bound",
 ]

@@ -48,6 +48,8 @@ def _note(msg: str) -> None:
 # ------------------------------------------------------------- find-params
 
 def cmd_find_params(args) -> int:
+    if not (math.isfinite(args.r0) and args.r0 > 0):
+        raise ValueError("--r0 must be finite and positive, got %r" % args.r0)
     range_mode = args.q_min is not None or args.q_max is not None
     extend_mode = args.q is not None or args.k_max is not None
     if range_mode == extend_mode:
@@ -81,8 +83,7 @@ def _ring_and_error(args):
             raise ValueError("family ring sampling needs --r")
         if args.k is not None:
             raise ValueError("--k applies only to cyclotomic rings")
-        ring = family_mod.validate(args.p, args.d, args.q).ring()
-        return ring, GaussianSpec(args.r)
+        return family_mod.validate(args.p, args.d, args.q), GaussianSpec(args.r)
     ring = CycloRing(args.m, args.q)
     if (args.r is None) == (args.k is None):
         raise ValueError("cyclotomic sampling needs exactly one of --r or --k")

@@ -20,8 +20,8 @@ yH — not on y's position in it and not on which primitive root generated
 H.  Two consequences used throughout:
 
   * eps(m, q, k, alpha) is the same for every root alpha of exact order m
-    (they all generate H), so a report can fill all phi(m) per-root values
-    from one computation;
+    (they all generate H), so one computation gives the maximum over all
+    phi(m) of them;
   * the y-sum needs one term per coset, (q-1)/m of them, n cosines each:
     (q-1)/2 cosine evaluations total instead of n*(q-1).
 
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -122,24 +122,12 @@ def _assemble_log2_eps(m: int, orbit_logs: np.ndarray) -> float:
     return math.log2(m) - 1.0 + _logsumexp2(orbit_logs)
 
 
-def epsilon_for_alpha(m: int, q: int, k: int, alpha: int) -> float:
-    """log2 of eps(m, q, k, alpha).  Identical for every valid alpha (see
-    the module docstring); alpha is still validated to have exact order m."""
-    _check_mk(m, k)
-    if not (is_prime(q) and (q - 1) % m == 0):
-        raise ValueError("need q prime with q = 1 (mod m); got q=%d, m=%d" % (q, m))
-    if not _has_order_m(alpha % q, m, q):
-        raise ValueError("alpha=%d does not have exact order %d mod %d" % (alpha, m, q))
-    return _assemble_log2_eps(m, _deg1_orbit_logs(m, q, k))
-
-
 @dataclass
 class EstimateReport:
     m: int
     q: int
     k: int
     degree: int
-    per_root_log2: Dict
     log2_eps: float
     log2_bound: Optional[float]
     beta: float
@@ -180,9 +168,7 @@ def epsilon(m: int, q: int, k: int) -> EstimateReport:
     if (q - 1) % m != 0:
         raise ValueError("no m-th roots of unity: q=%d is not 1 mod m=%d" % (q, m))
     log2_eps = _assemble_log2_eps(m, _deg1_orbit_logs(m, q, k))
-    alpha0 = pow(root_of_unity(q - 1, q), (q - 1) // m, q)
-    per_root = {pow(alpha0, j, q): log2_eps for j in range(1, m, 2)}
-    return EstimateReport(m, q, k, 1, per_root, log2_eps,
+    return EstimateReport(m, q, k, 1, log2_eps,
                           _bound_or_none(m, q, k), _beta_gauss(m, q),
                           (time.perf_counter() - t0) * 1e3)
 
@@ -245,10 +231,7 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
     orbit_logs = (_deg2_coset_logs(u[rep], v[rep], cs, ds, q, ctx.d_red, k)
                   + (jq[rep] != j[rep]))  # log2 of the orbit size
     log2_eps = _assemble_log2_eps(m, orbit_logs)
-    # alpha^j for odd j: the phi(m) order-m roots
-    per_root = {(int(a), int(b)): log2_eps
-                for a, b in zip(apow[0][1::2], apow[1][1::2])}
-    return EstimateReport(m, q, k, 2, per_root, log2_eps,
+    return EstimateReport(m, q, k, 2, log2_eps,
                           _bound_or_none(m, q, k), _beta_gauss(m, q),
                           (time.perf_counter() - t0) * 1e3)
 
@@ -343,6 +326,8 @@ def empirical_uniformity(m: int, q: int, r0: float, count: int, seed: int,
     """Seeded experiment: draw `count` ring errors of per-coefficient width
     r0 (i.e. r = r0 * sqrt(n) before discriminant normalization), reduce
     through rho into F_q, and chi-square the histogram against uniform."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     ring = CycloRing(m, q)
     spec = GaussianSpec(r0 * math.sqrt(ring.n))
     coeffs, _ = sample_lattice_gauss_batch(ring, spec, RngHandle(seed), count)

@@ -13,6 +13,8 @@ structure requires all of:
 
 Under 1-6 the prime q has residue degree 2, the quotient R/qR contains
 F_{q^2}, and the chi-square attacks of the attack module apply.
+validate, search_q and extend_d return rings.FamilyRing, which carries
+the discriminant and the width scaling find-params prints.
 
 Squarefreeness is decided by trial division up to 10^6; d with a square
 factor beyond 10^12 is rejected as undecidable rather than silently
@@ -22,12 +24,10 @@ accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .ffield import is_prime, legendre
 from .rings import FamilyRing
-from .sampling import compute_beta
 
 _TRIAL_LIMIT = 10 ** 6
 
@@ -61,32 +61,6 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """A validated (p, d, q) triple with the quantities the tools consume."""
-    p: int
-    d: int
-    q: int
-    deg: int = field(init=False)
-    log2_disc: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "deg", 2 * (self.p - 1))
-        ld = (2 * (self.p - 2) * math.log2(self.p)
-              + (self.p - 1) * math.log2(4 * self.d))
-        object.__setattr__(self, "log2_disc", ld)
-
-    def ring(self) -> FamilyRing:
-        return FamilyRing(self.p, self.d, self.q)
-
-    def suggested_r(self, r0: float = 1.0) -> float:
-        """Width r whose discriminant-normalized value equals r0."""
-        return r0 * 2 ** (self.log2_disc / (2 * self.deg))
-
-    def beta(self, r: float) -> float:
-        return compute_beta(self.d, r, self.p - 1)
-
-
 def violations(p: int, d: int, q: int) -> List[str]:
     """Empty list iff (p, d, q) is admissible; else the named failures."""
     out = []
@@ -111,15 +85,15 @@ def violations(p: int, d: int, q: int) -> List[str]:
     return out
 
 
-def validate(p: int, d: int, q: int) -> FamilyParams:
-    """FamilyParams for an admissible triple; ValueError naming each failure."""
+def validate(p: int, d: int, q: int) -> FamilyRing:
+    """The ring of an admissible triple; ValueError naming each failure."""
     bad = violations(p, d, q)
     if bad:
         raise ValueError("inadmissible parameters: " + "; ".join(bad))
-    return FamilyParams(p, d, q)
+    return FamilyRing(p, d, q)
 
 
-def search_q(p: int, d: int, q_min: int, q_max: int) -> List[FamilyParams]:
+def search_q(p: int, d: int, q_min: int, q_max: int) -> List[FamilyRing]:
     """All admissible q in [q_min, q_max] for fixed (p, d), ascending."""
     base = violations(p, d, 0)
     base = [v for v in base if "q=" not in v]
@@ -130,11 +104,11 @@ def search_q(p: int, d: int, q_min: int, q_max: int) -> List[FamilyParams]:
     start = q_min + (-(q_min - 1)) % p
     for q in range(start, q_max + 1, p):
         if q > 2 and is_prime(q) and legendre(d, q) == -1:
-            out.append(FamilyParams(p, d, q))
+            out.append(FamilyRing(p, d, q))
     return out
 
 
-def extend_d(p: int, q: int, d: int, k_max: int) -> List[FamilyParams]:
+def extend_d(p: int, q: int, d: int, k_max: int) -> List[FamilyRing]:
     """Admissible triples (p, d + 4kq, q) for k = 1..k_max.
 
     d' = d + 4kq preserves d' mod 4 and legendre(d', q); each candidate is
@@ -145,5 +119,5 @@ def extend_d(p: int, q: int, d: int, k_max: int) -> List[FamilyParams]:
     for k in range(1, k_max + 1):
         d2 = d + 4 * k * q
         if not violations(p, d2, q):
-            out.append(FamilyParams(p, d2, q))
+            out.append(FamilyRing(p, d2, q))
     return out

@@ -110,9 +110,7 @@ class FieldCtx:
         """Context for the (p, d, q) family: d reduced mod q defines the
         extension (valid exactly because (d/q) = -1), and alpha_p is a fixed
         element of order p."""
-        ctx = cls(q, d_red=d % q)
-        ctx2 = cls(q, d_red=ctx.d_red, alpha_p=find_order_p_element(p, ctx))
-        return ctx2
+        return cls(q, d_red=d % q, alpha_p=root_of_unity(p, q))
 
     def elem(self, u: int, v: int = 0) -> "Fq2Elem":
         return Fq2Elem(self, u % self.q, v % self.q)
@@ -134,9 +132,6 @@ class Fq2Elem:
         self.ctx = ctx
         self.u = u % ctx.q
         self.v = v % ctx.q
-
-    def in_prime_field(self) -> bool:
-        return self.v == 0
 
     def __add__(self, other: "Fq2Elem") -> "Fq2Elem":
         return Fq2Elem(self.ctx, self.u + other.u, self.v + other.v)
@@ -221,11 +216,6 @@ def root_of_unity(order: int, q: int) -> int:
     raise ValueError("no element of order %d mod %d (q not prime?)" % (order, q))
 
 
-def find_order_p_element(p: int, ctx: FieldCtx) -> int:
-    """An element of exact multiplicative order p in F_q^* (q = 1 mod p)."""
-    return root_of_unity(p, ctx.q)
-
-
 @lru_cache(maxsize=64)
 def power_table(base: int, n: int, q: int) -> np.ndarray:
     """Read-only int64 array [base^0, ..., base^(n-1)] mod q, by doubling:
@@ -273,22 +263,3 @@ def fq2_generator(ctx: FieldCtx) -> Fq2Elem:
             if all(g ** e != one for e in exps):
                 return g
     raise ValueError("no generator found for F_{%d^2}" % q)  # unreachable
-
-
-def frobenius(x: Fq2Elem, ctx: FieldCtx) -> Fq2Elem:
-    """x^q; in coordinates (u, v) -> (u, -v) since sqrt(d)^q = -sqrt(d)."""
-    return Fq2Elem(ctx, x.u, -x.v)
-
-
-def trace(x: Fq2Elem, ctx: FieldCtx) -> int:
-    """Tr: F_{q^2} -> F_q, x + x^q = 2u."""
-    return 2 * x.u % ctx.q
-
-
-def coset_reps(ctx: FieldCtx) -> List[Fq2Elem]:
-    """Representatives t_1..t_q of the additive cosets of F_q in F_{q^2}.
-
-    Canonical choice t_j = (j-1)*sqrt(d_red): two elements are in the same
-    coset iff their v coordinates agree, so these hit each coset once.
-    """
-    return [Fq2Elem(ctx, 0, j) for j in range(ctx.q)]

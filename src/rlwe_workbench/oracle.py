@@ -246,17 +246,16 @@ def load(path) -> SampleSet:
         except (ValueError, TypeError) as e:
             raise SampleFileError(1, "bad ring parameters (%s)" % e) from e
         count, deg, q = header["count"], ring.deg, ring.q
-        a = np.empty((count, deg), dtype=np.int64)
-        b = np.empty((count, deg), dtype=np.int64)
         vecs, linenos, done = [], [], 0  # records parsed since the last flush
+        chunks = []  # one checked (a, b) pair per flush; the header count sizes nothing
 
         def flush():
             # checked a chunk at a time, so the parsed lists stay small;
             # a bad coefficient is reported before any later fault
             nonlocal done
-            arr, n = _coefficients(vecs, linenos, done, q, deg), len(vecs) // 2
-            a[done:done + n], b[done:done + n] = arr[0:2 * n:2], arr[1:2 * n:2]
-            done += n
+            arr = _coefficients(vecs, linenos, done, q, deg)
+            chunks.append((arr[0::2], arr[1::2]))
+            done += len(vecs) // 2
             del vecs[:], linenos[:]
 
         for lineno, line in enumerate(fh, start=2):
@@ -287,4 +286,5 @@ def load(path) -> SampleSet:
         flush()
         if done != count:
             raise SampleFileError(done + 1, "expected %d records, found %d" % (count, done))
-    return SampleSet(header, a, b)
+    a, b = zip(*chunks)
+    return SampleSet(header, np.concatenate(a), np.concatenate(b))

@@ -33,11 +33,13 @@ from typing import Union
 
 import numpy as np
 
-from .ffield import FieldCtx, Fq2Elem, power_table, root_of_unity
+from .ffield import FieldCtx, power_table, root_of_unity
 
 
 @dataclass(frozen=True)
 class FamilyRing:
+    """R/qR for R = Z[zeta_p, sqrt(d)].  family.validate checks the whole
+    admissibility list; the constructor only what the arithmetic needs."""
     p: int
     d: int
     q: int
@@ -62,6 +64,18 @@ class FamilyRing:
     def abs_disc(self) -> int:
         """|disc| = p^(2(p-2)) * (4d)^(p-1)."""
         return self.p ** (2 * (self.p - 2)) * (4 * self.d) ** (self.p - 1)
+
+    @property
+    def log2_disc(self) -> float:
+        """log2 |disc|, without forming the integer."""
+        return 2 * (self.p - 2) * math.log2(self.p) + (self.p - 1) * math.log2(4 * self.d)
+
+    def suggested_r(self, r0: float = 1.0) -> float:
+        """Width r = r0 * |disc|^(1/(2 deg)) whose discriminant-normalized
+        value is r0."""
+        if not (math.isfinite(r0) and r0 > 0):
+            raise ValueError("normalized width r0 must be finite and positive, got %r" % r0)
+        return r0 * 2 ** (self.log2_disc / (2 * self.deg))
 
 
 @dataclass(frozen=True)
@@ -216,26 +230,14 @@ def gram_matrix(ring: Ring) -> np.ndarray:
     return E @ E.T
 
 
-def reduce_mod_prime(x: RingElem, ring: Ring, ctx: FieldCtx):
-    """The reduction map rho: R/qR -> R/(prime over q).
+def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring, ctx: FieldCtx):
+    """The reduction map rho: R/qR -> R/(prime over q), over a (count, deg)
+    coefficient array.
 
     FamilyRing: evaluates zeta_p at ctx.alpha_p and sqrt(d) at sqrt(d_red),
-    landing in F_{q^2}.  CycloRing: evaluates zeta_m at the ring's primitive
-    root alpha, landing in F_q (returned as a plain int).
-    """
-    _check_len(x, ring)
-    out = reduce_mod_prime_batch(x.coeffs[None, :], ring, ctx)
-    if isinstance(ring, CycloRing):
-        return int(out[0])
-    u, v = out
-    return Fq2Elem(ctx, int(u[0]), int(v[0]))
-
-
-def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring, ctx: FieldCtx):
-    """Vectorized reduce_mod_prime over a (count, deg) coefficient array.
-
-    Returns (u, v) int64 arrays for a FamilyRing and a single int64 array
-    for a CycloRing.
+    landing in F_{q^2}; returns the (u, v) int64 coordinate arrays.
+    CycloRing: evaluates zeta_m at the ring's primitive root alpha, landing
+    in F_q; returns one int64 array (ctx may be None).
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if coeffs.ndim != 2 or coeffs.shape[1] != ring.deg:
@@ -257,15 +259,3 @@ def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring, ctx: FieldCtx):
     u = (coeffs[:, :n] % q) @ powers % q
     v = (coeffs[:, n:] % q) @ powers % q
     return u, v
-
-
-def scaled_width_r0(r: float, ring: Ring) -> float:
-    """r0 = r / |disc|^(1/(2*deg)), the sparsity-normalized error width."""
-    if r <= 0:
-        raise ValueError("width r must be positive")
-    if isinstance(ring, CycloRing):
-        # |disc|^(1/(2n)) = sqrt(n) for 2-power cyclotomics
-        return r / math.sqrt(ring.n)
-    p, d = ring.p, ring.d
-    log_disc = 2 * (p - 2) * math.log(p) + (p - 1) * math.log(4 * d)
-    return r * math.exp(-log_disc / (2 * ring.deg))

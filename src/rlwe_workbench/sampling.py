@@ -58,8 +58,8 @@ class GaussianSpec:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("GaussianSpec: width must be positive")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError("GaussianSpec: width must be finite and positive, got %r" % self.r)
 
     def cut(self) -> int:
         """Tail cut ceil(10 r) + 1: the truncated mass is below 2^-100."""

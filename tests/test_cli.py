@@ -70,6 +70,27 @@ def test_find_params_inadmissible(capsys):
     assert "p=4 is not an odd prime" in err
 
 
+@pytest.mark.parametrize("r0", ["-1", "0", "nan", "inf"])
+def test_find_params_rejects_bad_r0(capsys, tmp_path, r0):
+    # refused before anything is written, whether or not a q is admissible
+    for q_min, q_max in (("100", "1000"), ("174", "430")):
+        path = tmp_path / "rows.csv"
+        for out_args in ((), ("--out", str(path))):
+            code, out, err = run(capsys, "find-params", "--p", "43", "--d", "4871",
+                                 "--q-min", q_min, "--q-max", q_max, "--r0", r0, *out_args)
+            assert code == 2 and out == ""
+            assert "--r0 must be finite and positive" in err
+            assert not path.exists()
+
+
+def test_find_params_refuses_a_modulus_that_overflows_int64(capsys):
+    # q = 1518500293 is admissible for (3, 2), but 4 * (q - 1)^2 >= 2^63
+    code, out, err = run(capsys, "find-params", "--p", "3", "--d", "2",
+                         "--q-min", "1518500200", "--q-max", "1518500300")
+    assert code == 2 and out == ""
+    assert "2^63" in err
+
+
 # ------------------------------------------------------------- gen-samples
 
 GEN = ("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "2.0",
@@ -109,6 +130,12 @@ def test_gen_samples_validation(capsys):
          "exactly one of --r or --k"),
         (("gen-samples", "--p", "3", "--d", "10", "--q", "13", "--r", "2.0"),
          "square mod q"),
+        (("gen-samples", "--m", "8", "--q", "17", "--r", "inf"), "finite and positive"),
+        (("gen-samples", "--m", "8", "--q", "17", "--r", "nan"), "finite and positive"),
+        (("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "inf"),
+         "finite and positive"),
+        (("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "-1"),
+         "finite and positive"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv)
@@ -328,6 +355,14 @@ def test_estimate_validation_exit_codes(capsys):
     code, _, err = run(capsys, "estimate", "--m", "8", "--q", "15",
                        "--workers", "1")
     assert code == 2 and "not prime" in err
+    empirical = ("estimate", "--m", "64", "--q", "193", "--empirical")
+    for extra, needle in [(("--r0", "inf"), "finite and positive"),
+                          (("--r0", "nan"), "finite and positive"),
+                          (("--count", "0"), "count must be >= 1"),
+                          (("--count", "-5"), "count must be >= 1")]:
+        code, out, err = run(capsys, *empirical, *extra)
+        assert code == 2 and out == "", extra
+        assert needle in err, (extra, err)
 
 
 # ----------------------------------------------------------------- parsing

@@ -8,7 +8,7 @@ import pytest
 from rlwe_workbench.estimator import (EstimateReport, _deg2_coset_logs, _logsumexp2,
                                       brute_force_distance, brute_force_pmf,
                                       deg2_admissible, empirical_uniformity,
-                                      epsilon, epsilon_deg2, epsilon_for_alpha,
+                                      epsilon, epsilon_deg2,
                                       gauss_sum_check,
                                       nearest_admissible_q_deg2, nu_hat,
                                       theoretical_bound)
@@ -22,42 +22,43 @@ from rlwe_workbench.sampling import binomial_vk_pmf
 def test_tiny_instance_exact():
     rep = epsilon(4, 5, 2)
     assert abs(2 ** rep.log2_eps - 0.125) < 1e-12
-    assert sorted(rep.per_root_log2) == [2, 3]  # the two primitive 4th roots
-    assert len(set(rep.per_root_log2.values())) == 1
     assert rep.degree == 1 and (rep.m, rep.q, rep.k) == (4, 5, 2)
     assert rep.neg_floor_log2_eps == 3
 
 
+NAIVE_ROWS = [(4, 13, 2), (8, 17, 2), (4, 5, 4), (8, 41, 6)]
+
+
+def _primitive_roots(m: int, q: int):
+    """Every element of exact order m mod q (m a power of 2)."""
+    return [a for a in range(2, q) if pow(a, m, q) == 1 and pow(a, m // 2, q) != 1]
+
+
+def _naive_log2_eps(m: int, q: int, k: int, alpha: int) -> float:
+    """Literal sum over every y in F_q^*, no orbit collapsing."""
+    total = 0.0
+    for y in range(1, q):
+        prod = 1.0
+        for i in range(m // 2):
+            prod *= math.cos(math.pi * (pow(alpha, i, q) * y % q) / q) ** k
+        total += prod
+    return math.log2(total / 2.0)
+
+
 def test_alpha_invariance():
-    vals = [epsilon_for_alpha(8, 17, 2, a) for a in (2, 8, 9, 15)]
-    assert all(abs(v + 5.0) < 1e-9 for v in vals)
-    with pytest.raises(ValueError, match="does not have exact order 8"):
-        epsilon_for_alpha(8, 17, 2, 4)  # order 4
-    with pytest.raises(ValueError, match="does not have exact order 8"):
-        epsilon_for_alpha(8, 17, 2, 16)  # order 2
-    with pytest.raises(ValueError, match="q prime"):
-        epsilon_for_alpha(8, 15, 2, 2)
-
-
-def _find_alpha(m: int, q: int) -> int:
-    for a in range(2, q):
-        if pow(a, m, q) == 1 and pow(a, m // 2, q) != 1:
-            return a
-    raise AssertionError("no order-%d element mod %d" % (m, q))
+    # every one of the phi(m) primitive roots gives the value epsilon reports
+    for m, q, k in NAIVE_ROWS:
+        roots = _primitive_roots(m, q)
+        assert len(roots) == m // 2
+        for alpha in roots:
+            assert abs(_naive_log2_eps(m, q, k, alpha) - epsilon(m, q, k).log2_eps) < 1e-9
 
 
 def test_deg1_matches_naive_full_sum():
     """Dual route: literal sum over every y in F_q^*, no orbit collapsing."""
-    for m, q, k in [(4, 13, 2), (8, 17, 2), (4, 5, 4), (8, 41, 6)]:
-        n = m // 2
-        alpha = _find_alpha(m, q)
-        total = 0.0
-        for y in range(1, q):
-            prod = 1.0
-            for i in range(n):
-                prod *= math.cos(math.pi * (pow(alpha, i, q) * y % q) / q) ** k
-            total += prod
-        assert abs(math.log2(total / 2.0) - epsilon(m, q, k).log2_eps) < 1e-9
+    for m, q, k in NAIVE_ROWS:
+        alpha = _primitive_roots(m, q)[0]
+        assert abs(_naive_log2_eps(m, q, k, alpha) - epsilon(m, q, k).log2_eps) < 1e-9
 
 
 def test_deg1_frozen_regression():
@@ -73,7 +74,6 @@ def test_deg1_frozen_regression():
         assert abs(rep.log2_bound - log2_bound) < 1e-4
         assert rep.neg_floor_log2_eps == floor
         assert abs(rep.beta - (1 + math.sqrt(q) / m) / 2) < 1e-12
-        assert len(rep.per_root_log2) == m // 2
         assert rep.runtime_ms >= 0.0
 
 
@@ -191,13 +191,6 @@ def test_deg2_frozen_regression():
     r2 = epsilon_deg2(128, 1151, 2)
     assert abs(r2.log2_eps - (-49.17846222540215)) < 1e-4
     assert abs(r2.log2_bound - (-33.12414497092587)) < 1e-4
-
-
-def test_deg2_per_root_structure():
-    rep = epsilon_deg2(8, 5, 2)
-    assert len(rep.per_root_log2) == 4
-    assert all(isinstance(key, tuple) and len(key) == 2 for key in rep.per_root_log2)
-    assert len(set(rep.per_root_log2.values())) == 1
 
 
 @pytest.mark.parametrize("m, q", [(64, 383), (128, 1151)])

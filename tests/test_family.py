@@ -4,11 +4,9 @@ import math
 
 import pytest
 
-from rlwe_workbench.family import (FamilyParams, UndecidedError, extend_d,
-                                   is_squarefree, search_q, validate,
-                                   violations)
-from rlwe_workbench.rings import FamilyRing, scaled_width_r0
-from rlwe_workbench.sampling import compute_beta
+from rlwe_workbench.family import (UndecidedError, extend_d, is_squarefree,
+                                   search_q, validate, violations)
+from rlwe_workbench.rings import FamilyRing
 
 
 def test_is_squarefree_small():
@@ -51,7 +49,7 @@ def test_violations_name_each_failure():
 
 def test_validate():
     params = validate(43, 4871, 173)
-    assert (params.p, params.d, params.q) == (43, 4871, 173)
+    assert params == FamilyRing(43, 4871, 173)
     with pytest.raises(ValueError, match="inadmissible parameters: .*squarefree"):
         validate(3, 12, 13)
     with pytest.raises(ValueError, match="not an odd prime"):
@@ -59,28 +57,22 @@ def test_validate():
 
 
 def test_family_params_frozen_quantities():
-    params = FamilyParams(43, 4871, 173)
+    params = FamilyRing(43, 4871, 173)
     assert params.deg == 84
     assert abs(params.log2_disc - 1043.4538) < 1e-3
     # dual route: the ring's exact integer discriminant
-    exact = math.log2(FamilyRing(43, 4871, 173).abs_disc)
+    exact = math.log2(params.abs_disc)
     assert abs(params.log2_disc - exact) < 1e-6
 
 
 def test_suggested_r_round_trips_the_normalized_width():
-    params = FamilyParams(43, 4871, 173)
-    ring = params.ring()
+    params = FamilyRing(43, 4871, 173)
+    scale = math.exp(math.log(params.abs_disc) / (2 * params.deg))
     for r0 in (1.0, 2.5, 9.380794127152955):
         r = params.suggested_r(r0)
-        assert abs(scaled_width_r0(r, ring) - r0) < 1e-9
+        assert abs(r / scale - r0) < 1e-9
     assert abs(params.suggested_r(1.0) - 74.0811) < 1e-3
     assert abs(params.suggested_r(9.380794127152955) - 694.94) < 1e-2
-
-
-def test_beta_binds_to_subfield_block():
-    params = FamilyParams(43, 4871, 173)
-    assert params.beta(200.0) == compute_beta(4871, 200.0, 42)
-    assert abs(params.beta(200.0) - 0.110655) < 1e-4
 
 
 def test_search_q_frozen():

@@ -3,10 +3,9 @@ roots of unity and power tables."""
 
 import pytest
 
-from rlwe_workbench.ffield import (FieldCtx, Fq2Elem, coset_reps, find_order_p_element,
-                                   fq2_generator, fq2_power_table, frobenius, is_prime,
-                                   legendre, power_table, root_of_unity,
-                                   smallest_nonresidue, trace)
+from rlwe_workbench.ffield import (FieldCtx, Fq2Elem, fq2_generator, fq2_power_table,
+                                   is_prime, legendre, power_table, root_of_unity,
+                                   smallest_nonresidue)
 
 
 def _sieve(limit):
@@ -129,50 +128,33 @@ def test_norm_lands_in_prime_field():
     for u in range(13):
         for v in range(13):
             x = ctx.elem(u, v)
-            assert (x * frobenius(x, ctx)).in_prime_field()
+            assert (x * x ** 13).v == 0  # the norm x * x^q
 
 
 def test_frobenius_fixed_points_are_prime_field():
     ctx = FieldCtx(13)
     fixed = {(x.u, x.v)
              for u in range(13) for v in range(13)
-             for x in [ctx.elem(u, v)] if frobenius(x, ctx) == x}
+             for x in [ctx.elem(u, v)] if x ** 13 == x}
     assert fixed == {(u, 0) for u in range(13)}
 
 
 def test_frobenius_is_qth_power():
+    # x^q is the conjugate (u, v) -> (u, -v), since sqrt(d)^q = -sqrt(d)
     ctx = FieldCtx(13)
     for (u, v) in [(3, 5), (0, 1), (7, 0), (12, 12)]:
-        x = ctx.elem(u, v)
-        assert frobenius(x, ctx) == x ** 13
-
-
-def test_trace():
-    ctx = FieldCtx(13)
-    for (u, v) in [(3, 5), (0, 1), (7, 0), (12, 12)]:
-        x = ctx.elem(u, v)
-        t = trace(x, ctx)
-        assert t == 2 * u % 13
-        assert (x + frobenius(x, ctx)) == ctx.elem(t)
-
-
-def test_coset_reps():
-    ctx = FieldCtx(13)
-    reps = coset_reps(ctx)
-    assert len(reps) == 13
-    assert [r.v for r in reps] == list(range(13))
-    assert all(r.u == 0 for r in reps)
+        assert ctx.elem(u, v) ** 13 == ctx.elem(u, -v)
 
 
 def test_find_order_p_element():
-    ctx = FieldCtx(13)
-    x = find_order_p_element(3, ctx)
+    # the family's alpha_p: an element of exact order p in F_q^*
+    x = root_of_unity(3, 13)
     assert pow(x, 3, 13) == 1 and x != 1
     with pytest.raises(ValueError):
-        find_order_p_element(5, ctx)  # 5 does not divide 12
-    ctx173 = FieldCtx(173, d_red=4871 % 173)
-    y = find_order_p_element(43, ctx173)
+        root_of_unity(5, 13)  # 5 does not divide 12
+    y = root_of_unity(43, 173)
     assert pow(y, 43, 173) == 1 and y != 1
+    assert FieldCtx.for_family(43, 4871, 173).alpha_p == y
 
 
 # ------------------------------------------------ roots and power tables

@@ -166,6 +166,18 @@ def test_load_negative_count(tmp_path):
     assert ei.value.line == 1
 
 
+def test_load_huge_count(tmp_path):
+    # the header's count is checked against the records, never used to size arrays
+    lines = _lines(tmp_path, count=40)
+    h = json.loads(lines[0])
+    for count in (10 ** 10, 2 ** 62):
+        h["count"] = count
+        with pytest.raises(SampleFileError,
+                           match="expected %d records, found 40" % count) as ei:
+            load(_write(tmp_path, [json.dumps(h)] + lines[1:]))
+        assert ei.value.line == 41
+
+
 def test_load_header_missing_keys(tmp_path):
     path = _write(tmp_path, [json.dumps({"schema_version": 1, "q": 13})])
     with pytest.raises(SampleFileError, match="header missing keys") as ei:

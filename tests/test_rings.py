@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rlwe_workbench.ffield import FieldCtx
+from rlwe_workbench.ffield import FieldCtx, Fq2Elem
 from rlwe_workbench.rings import (CycloRing, FamilyRing, RingElem, canonical_embed,
-                                  gram_matrix, reduce_mod_prime,
-                                  reduce_mod_prime_batch, ring_mul, scaled_width_r0)
+                                  gram_matrix, reduce_mod_prime_batch, ring_mul)
 
 R3 = FamilyRing(3, 2, 13)
 C8 = CycloRing(8, 17)
@@ -152,13 +151,22 @@ def test_canonical_embed_linear_and_norm():
     assert abs(canonical_embed(x, R3) @ canonical_embed(x, R3) - g) < 1e-9
 
 
+def _rho(x, ring, ctx):
+    """rho(x) of one element through the batch map: an Fq2Elem for a family
+    ring, an int for a cyclotomic one."""
+    out = reduce_mod_prime_batch(x.coeffs[None, :], ring, ctx)
+    if isinstance(ring, CycloRing):
+        return int(out[0])
+    return Fq2Elem(ctx, int(out[0][0]), int(out[1][0]))
+
+
 def test_reduce_mod_prime_frozen_generators():
     ctx = FieldCtx.for_family(3, 2, 13)
-    r = reduce_mod_prime(RingElem([0, 1, 0, 0]), R3, ctx)  # zeta
+    r = _rho(RingElem([0, 1, 0, 0]), R3, ctx)  # zeta
     assert (r.u, r.v) == (ctx.alpha_p, 0) == (3, 0)
-    r = reduce_mod_prime(RingElem([0, 0, 1, 0]), R3, ctx)  # sqrt(d)
+    r = _rho(RingElem([0, 0, 1, 0]), R3, ctx)  # sqrt(d)
     assert (r.u, r.v) == (0, 1)
-    r = reduce_mod_prime(RingElem([1, 0, 0, 0]), R3, ctx)
+    r = _rho(RingElem([1, 0, 0, 0]), R3, ctx)
     assert (r.u, r.v) == (1, 0)
 
 
@@ -168,10 +176,10 @@ def test_reduce_mod_prime_is_ring_hom():
     for _ in range(200):
         x = RingElem(rng.integers(0, 13, 4))
         y = RingElem(rng.integers(0, 13, 4))
-        rx, ry = reduce_mod_prime(x, R3, ctx), reduce_mod_prime(y, R3, ctx)
-        assert reduce_mod_prime(ring_mul(x, y, R3), R3, ctx) == rx * ry
+        rx, ry = _rho(x, R3, ctx), _rho(y, R3, ctx)
+        assert _rho(ring_mul(x, y, R3), R3, ctx) == rx * ry
         s = RingElem((x.coeffs + y.coeffs) % 13)
-        assert reduce_mod_prime(s, R3, ctx) == rx + ry
+        assert _rho(s, R3, ctx) == rx + ry
 
 
 def test_reduce_mod_prime_cyclo_hom():
@@ -179,57 +187,63 @@ def test_reduce_mod_prime_cyclo_hom():
     for _ in range(100):
         x = RingElem(rng.integers(0, 17, 4))
         y = RingElem(rng.integers(0, 17, 4))
-        rx = reduce_mod_prime(x, C8, None)
-        ry = reduce_mod_prime(y, C8, None)
-        assert reduce_mod_prime(ring_mul(x, y, C8), C8, None) == rx * ry % 17
+        rx = _rho(x, C8, None)
+        ry = _rho(y, C8, None)
+        assert _rho(ring_mul(x, y, C8), C8, None) == rx * ry % 17
 
 
 def test_reduce_batch_matches_scalar():
+    # each row against rho evaluated term by term in Python integers
     ctx = FieldCtx.for_family(3, 2, 13)
     rng = np.random.default_rng(5)
     coeffs = rng.integers(0, 13, (50, 4))
     u, v = reduce_mod_prime_batch(coeffs, R3, ctx)
     for i in range(50):
-        r = reduce_mod_prime(RingElem(coeffs[i]), R3, ctx)
-        assert (u[i], v[i]) == (r.u, r.v)
+        c = [int(x) for x in coeffs[i]]
+        assert u[i] == (c[0] + c[1] * ctx.alpha_p) % 13
+        assert v[i] == (c[2] + c[3] * ctx.alpha_p) % 13
     cy = rng.integers(0, 17, (50, 4))
     vals = reduce_mod_prime_batch(cy, C8, None)
+    alpha = C8.alpha()
     for i in range(50):
-        assert vals[i] == reduce_mod_prime(RingElem(cy[i]), C8, None)
+        assert vals[i] == sum(int(c) * alpha ** j for j, c in enumerate(cy[i])) % 17
 
 
 def test_reduce_validation():
     good = FieldCtx.for_family(3, 2, 13)
-    x = RingElem([1, 2, 3, 4])
+    x = np.array([[1, 2, 3, 4]])
     with pytest.raises(ValueError):
-        reduce_mod_prime(x, R3, FieldCtx(17))  # wrong modulus
+        reduce_mod_prime_batch(x, R3, FieldCtx(17))  # wrong modulus
     with pytest.raises(ValueError):
-        reduce_mod_prime(x, R3, FieldCtx(13))  # alpha_p missing
+        reduce_mod_prime_batch(x, R3, FieldCtx(13))  # alpha_p missing
     with pytest.raises(ValueError):
-        reduce_mod_prime(x, R3, FieldCtx(13, d_red=2, alpha_p=4))  # wrong order
+        reduce_mod_prime_batch(x, R3, FieldCtx(13, d_red=2, alpha_p=4))  # wrong order
     with pytest.raises(ValueError):
         # 5 is a nonresidue mod 13 but is not d mod q, so the model mismatches
-        reduce_mod_prime(x, R3, FieldCtx(13, d_red=5, alpha_p=3))
+        reduce_mod_prime_batch(x, R3, FieldCtx(13, d_red=5, alpha_p=3))
     with pytest.raises(ValueError):
         reduce_mod_prime_batch(np.zeros((3, 5), dtype=np.int64), R3, good)
 
 
 def test_scaled_width_r0_frozen():
-    assert abs(scaled_width_r0(694.94, FamilyRing(43, 4871, 173)) - 9.3808) < 1e-3
-    assert abs(scaled_width_r0(592.94, FamilyRing(31, 4967, 311)) - 9.4983) < 1e-3
-    assert scaled_width_r0(8.0, C8) == 2.0 * 2.0  # r / sqrt(n) = 8 / 2
+    # r0 = r / |disc|^(1/(2 deg)), and suggested_r(1.0) is that scale
+    ring = FamilyRing(43, 4871, 173)
+    assert abs(694.94 / ring.suggested_r(1.0) - 9.3808) < 1e-3
+    ring = FamilyRing(31, 4967, 311)
+    assert abs(592.94 / ring.suggested_r(1.0) - 9.4983) < 1e-3
 
 
 def test_scaled_width_r0_second_route():
     # against the exact integer discriminant, rather than the log formula
     for ring in (R3, FamilyRing(5, 3, 31)):
-        direct = 7.25 / ring.abs_disc ** (1.0 / (2 * ring.deg))
-        assert abs(scaled_width_r0(7.25, ring) / direct - 1) < 1e-12
+        direct = 7.25 * ring.abs_disc ** (1.0 / (2 * ring.deg))
+        assert abs(ring.suggested_r(7.25) / direct - 1) < 1e-12
 
 
 def test_scaled_width_r0_validation():
-    with pytest.raises(ValueError):
-        scaled_width_r0(0.0, R3)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            R3.suggested_r(bad)
 
 
 def test_ring_elem_basics():
