@@ -2,32 +2,44 @@
 
 Both attacks reduce every sample through rho: R/qR -> F_{q^2}, writing
 rho(a) = (a1, a2) and rho(b) = (b1, b2) on the F_q-basis {1, sqrt(d)}.
+For a guess rho(s) = (u, v), the residual rho(b) - (u + v sqrt(d)) rho(a)
+lands in the subfield F_q iff
+
+    b2 = u*a2 + v*a1 (mod q).
+
+Under the null (uniform b) that event has probability 1/q; with the
+correct guess and an error whose sqrt(d)-block reduces to 0 it is
+near-certain.  Both attacks score the same q x q incidence matrix, built
+once by `_guess_counts`:
+
+    counts[t, u]  records with a2 != 0 supporting the guess (u, t);
+    fixed[t]      records with a2 = 0 and b2 = t*a1, which support every u.
+
+With x = b2/a2 and g = a1/a2, row t of counts is the histogram of x - t*g,
+so the matrix costs q bincounts, one per row.
 
 two_bin_attack
-    For each guess g = (u, v) of rho(s), the residual rho(b) - g*rho(a)
-    lands in the subfield F_q iff  b2 = u*a2 + v*a1 (mod q).  Under the
-    null (uniform b) that event has probability 1/q; with the correct
-    guess and an error whose sqrt(d)-block reduces to 0 it is near-certain.
-    A two-bin chi-square statistic over all q^2 guesses flags the excess.
+    Scores all q^2 cells, counts[v, u] + fixed[v] being the number of
+    records in the F_q bin for the guess (u, v), with a two-bin chi-square
+    statistic (F_q versus its complement).
 
 coset_attack
-    Loops over the q additive cosets t_j = (0, j-1) of F_q in F_{q^2}.
-    Per sample, m_j = (conj(b) - b - conj(a*t_j) + a*t_j) / (conj(a) - a)
-    collapses to the F_q value (b2 - (j-1)*a1) / a2, so with x = b2/a2 and
-    g = a1/a2 the whole score row is a histogram of x - (j-1)*g.  Samples
-    with a2 = 0 carry no coset information and are dropped.  For the coset
-    containing rho(s)'s second coordinate, m_j = s0 + (conj(e)-e)/(conj(a)-a),
-    which sticks at the constant s0 whenever the error reduces into F_q, so
-    that histogram spikes; wrong cosets stay uniform.  q guesses instead
-    of q^2.
+    Scores the q rows: row t is the coset (0, t) + F_q of F_{q^2}, and
+    its records are (b2 - t*a1)/a2, the F_q value of
+    m_t = (conj(b) - b - conj(a*t) + a*t) / (conj(a) - a).  For the coset
+    holding rho(s)'s second coordinate, m_t = s0 + (conj(e)-e)/(conj(a)-a)
+    sticks at the constant s0 whenever the error reduces into F_q, so
+    that row spikes, and the candidates are its modal values; wrong rows
+    stay uniform.  Records with a2 = 0 carry no coset information and are
+    dropped.  q guesses instead of q^2.
 
 Default thresholds are family-wise: a run makes q (coset) or q^2 (two-bin)
 independent-ish tests, so per-test significance is scaled to keep the
 whole-run false-flag probability near 0.01.  Pass an explicit beta_chi to
 override (e.g. the single-test 0.99 quantile critical_value(q-1, 0.99)).
 
-Both attacks score every guess in the calling process: a process pool
-measured slower than one worker at every size tried, up to q = 1051.
+Both attacks run in the calling process: a process pool measured slower
+than one worker at every size tried, up to q = 1051.
 """
 
 from __future__ import annotations
@@ -122,14 +134,16 @@ def _verdict(candidates: List[Tuple[int, int]]):
     return VERDICT_INSUFFICIENT, None
 
 
-def _rho_batch(samples: SampleSet, ctx: FieldCtx):
+def _rho_batch(samples: SampleSet):
+    """(a1, a2, b2) in [0, q): rho(a) and the sqrt(d) coordinate of rho(b)."""
     ring = samples.ring
     if not isinstance(ring, FamilyRing):
         raise ValueError("attacks need residue degree 2; this sample set's ring "
                          "reduces into F_q itself")
+    ctx = FieldCtx.for_family(ring.p, ring.d, ring.q)
     a1, a2 = reduce_mod_prime_batch(samples.a, ring, ctx)
-    b1, b2 = reduce_mod_prime_batch(samples.b, ring, ctx)
-    return a1, a2, b1, b2
+    _, b2 = reduce_mod_prime_batch(samples.b, ring, ctx)
+    return a1, a2, b2
 
 
 def _inverse_table(q: int) -> np.ndarray:
@@ -141,6 +155,24 @@ def _inverse_table(q: int) -> np.ndarray:
     return inv
 
 
+def _guess_counts(a1, a2, b2, q: int):
+    """(counts, fixed) for reduced records: counts[t, u] is the number of
+    records with a2 != 0 and b2 = u*a2 + t*a1, fixed[t] the number with
+    a2 = 0 and b2 = t*a1 (these support every u in row t)."""
+    inv = _inverse_table(q)
+    keep = a2 != 0
+    ainv = inv[a2[keep]]
+    x = b2[keep] * ainv % q
+    g = a1[keep] * ainv % q
+    counts = np.empty((q, q), dtype=np.int64)
+    for t in range(q):
+        counts[t] = np.bincount((x - t * g) % q, minlength=q)
+    a1z, b2z = a1[~keep], b2[~keep]
+    fixed = np.bincount(b2z[a1z != 0] * inv[a1z[a1z != 0]] % q, minlength=q)
+    fixed += int(np.count_nonzero((a1z == 0) & (b2z == 0)))
+    return counts, fixed
+
+
 # ------------------------------------------------------------------ coset
 
 def default_beta_coset(q: int) -> float:
@@ -148,36 +180,26 @@ def default_beta_coset(q: int) -> float:
     return critical_value(q - 1, 1.0 - 0.01 / q)
 
 
-def coset_attack(samples: SampleSet, ctx: FieldCtx,
+def coset_attack(samples: SampleSet,
                  config: Optional[AttackConfig] = None) -> AttackOutcome:
-    """Algorithm: q coset guesses, modal m_j recovery, chi-square flagging."""
+    """Algorithm: q coset guesses, modal m_t recovery, chi-square flagging."""
     t0 = time.perf_counter()
     config = config or AttackConfig()
-    ring = samples.ring
-    q = ring.q
-    a1, a2, _, b2 = _rho_batch(samples, ctx)
-    keep = a2 % q != 0
-    usable = int(keep.sum())
+    q = samples.ring.q
+    a1, a2, b2 = _rho_batch(samples)
+    usable = int(np.count_nonzero(a2))
     beta = config.beta_chi if config.beta_chi is not None else default_beta_coset(q)
     min_samples = config.min_samples if config.min_samples is not None else 5 * q
     if usable == 0 or usable < min_samples:
         return AttackOutcome(VERDICT_INSUFFICIENT, None, np.zeros(q), usable, 0,
                              (time.perf_counter() - t0) * 1e3, [], beta)
-    inv = _inverse_table(q)
-    ainv = inv[a2[keep] % q]
-    x = b2[keep] % q * ainv % q
-    g = a1[keep] % q * ainv % q
+    counts, _ = _guess_counts(a1, a2, b2, q)
     exp = usable / q
-    chi2 = np.empty(q, dtype=np.float64)
-    for tau in range(q):
-        counts = np.bincount((x - tau * g) % q, minlength=q)
-        chi2[tau] = float(((counts - exp) ** 2).sum() / exp)
+    chi2 = ((counts - exp) ** 2).sum(axis=1) / exp
     candidates = []
     for tau in np.nonzero(chi2 > beta)[0]:
-        counts = np.bincount((x - int(tau) * g) % q, minlength=q)
-        top = counts.max()
-        for s0 in np.nonzero(counts == top)[0]:
-            candidates.append((int(s0), int(tau)))
+        row = counts[tau]
+        candidates.extend((int(s0), int(tau)) for s0 in np.nonzero(row == row.max())[0])
     verdict, cand = _verdict(candidates)
     return AttackOutcome(verdict, cand, chi2, usable, q,
                          (time.perf_counter() - t0) * 1e3, candidates, beta)
@@ -224,34 +246,25 @@ def default_beta_two_bin(q: int, sample_count: int) -> float:
     return float(_two_bin_stat(c_hi - 0.5, sample_count, q))
 
 
-def two_bin_attack(samples: SampleSet, ctx: FieldCtx,
+def two_bin_attack(samples: SampleSet,
                    config: Optional[AttackConfig] = None) -> AttackOutcome:
     """All q^2 guesses g, two bins per guess: residual in F_q or not."""
     t0 = time.perf_counter()
     config = config or AttackConfig()
-    ring = samples.ring
-    q = ring.q
+    q = samples.ring.q
     m = len(samples)
     min_samples = config.min_samples if config.min_samples is not None else 5 * q
     if m < min_samples:
         raise ValueError("two-bin attack needs at least %d samples, got %d"
                          % (min_samples, m))
-    a1, a2, _, b2 = _rho_batch(samples, ctx)
+    a1, a2, b2 = _rho_batch(samples)
     beta = (config.beta_chi if config.beta_chi is not None
             else default_beta_two_bin(q, m))
-    nz = a1 % q != 0
-    a1inv = _inverse_table(q)[a1[nz] % q]
-    b2nz, a2nz = b2[nz] % q, a2[nz] % q
-    b2z, a2z = b2[~nz] % q, a2[~nz] % q
-    counts = np.empty((q, q), dtype=np.int64)
-    for u in range(q):
-        # records with a1 != 0: bin-1 guess needs v = (b2 - u*a2)/a1
-        counts[u] = np.bincount((b2nz - u * a2nz) % q * a1inv % q, minlength=q)
-        # records with a1 == 0: in bin 1 iff b2 == u*a2, for every v
-        counts[u] += int(((b2z - u * a2z) % q == 0).sum())
-    chi2 = _two_bin_stat(counts, m, q).reshape(-1)
+    counts, fixed = _guess_counts(a1, a2, b2, q)
+    counts += fixed[:, None]
+    # counts[v, u] scores the guess (u, v), reported at index u*q + v
+    chi2 = _two_bin_stat(counts.T, m, q).reshape(-1)
     candidates = [(int(i) // q, int(i) % q) for i in np.nonzero(chi2 > beta)[0]]
     verdict, cand = _verdict(candidates)
     return AttackOutcome(verdict, cand, chi2, m, q * q,
                          (time.perf_counter() - t0) * 1e3, candidates, beta)
-

@@ -11,7 +11,8 @@ Sub-commands and frozen machine-output formats (stdout or --out):
 
 Human-readable notes go to stderr so machine output pipes cleanly.  Every
 run is deterministic under fixed --seed (timing fields excluded).  Exit
-codes: 0 success, 1 runtime/file failure, 2 usage or validation error.
+codes: 0 success, 1 runtime/file failure (out of memory included), 2
+usage or validation error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from . import family as family_mod
 from . import oracle as oracle_mod
 from .attack import AttackConfig, coset_attack, two_bin_attack
 from .estimator import empirical_uniformity, epsilon, epsilon_deg2
-from .ffield import FieldCtx
 from .oracle import RlweInstance, SampleFileError
 from .rings import CycloRing
 from .sampling import BinomialSpec, GaussianSpec
@@ -109,13 +109,11 @@ def cmd_gen_samples(args) -> int:
 
 def cmd_attack(args) -> int:
     sample_set = oracle_mod.load(args.samples)
-    header = sample_set.header
-    if header["ring_kind"] != "family":
+    if sample_set.header["ring_kind"] != "family":
         raise ValueError("attacks need a residue-degree-2 prime: family-ring samples only")
-    ctx = FieldCtx.for_family(header["p"], header["d"], header["q"])
     config = AttackConfig(beta_chi=args.beta_chi, min_samples=args.min_samples)
     run = coset_attack if args.attack == "coset" else two_bin_attack
-    outcome = run(sample_set, ctx, config)
+    outcome = run(sample_set, config)
     with _out_stream(args.out) as fh:
         fh.write(json.dumps(outcome.report()) + "\n")
     _note("verdict: %s%s  (%d samples used, %d guesses, %.1f ms)"
@@ -237,6 +235,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         _note("error: %s" % exc)
+        return 1
+    except MemoryError as exc:  # e.g. arrays sized from a huge --count
+        _note("error: out of memory%s" % (": %s" % exc if str(exc) else ""))
         return 1
 
 

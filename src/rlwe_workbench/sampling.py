@@ -51,6 +51,10 @@ import numpy as np
 
 from .rings import CycloRing, Ring
 
+# Largest tail cut a sampler table is built for: a support of about 2*10^6
+# integers.  Every width the attacks and estimates use cuts below 10^3.
+MAX_TAIL_CUT = 10 ** 6
+
 
 @dataclass(frozen=True)
 class GaussianSpec:
@@ -62,7 +66,11 @@ class GaussianSpec:
             raise ValueError("GaussianSpec: width must be finite and positive, got %r" % self.r)
 
     def cut(self) -> int:
-        """Tail cut ceil(10 r) + 1: the truncated mass is below 2^-100."""
+        """Tail cut ceil(10 r) + 1: the truncated mass is below 2^-100.
+        A cut above MAX_TAIL_CUT is refused."""
+        if not 10.0 * self.r <= MAX_TAIL_CUT - 1:
+            raise ValueError("Gaussian width %g is too wide to sample: its tail cut "
+                             "ceil(10 r) + 1 exceeds %d" % (self.r, MAX_TAIL_CUT))
         return int(math.ceil(10.0 * self.r)) + 1
 
 
@@ -80,8 +88,9 @@ class RngHandle:
     """Deterministic, forkable randomness. Same seed => same stream.
 
     Forking derives child_seed = first 8 bytes of
-    sha256(parent_seed || index), so worker streams are independent of each
-    other and reproducible regardless of scheduling.
+    sha256(parent_seed || index).  Sample generation draws the secret and
+    each record chunk from its own fork, so a chunk's records depend only
+    on the seed and the chunk's index, not on the chunks drawn before it.
     """
 
     def __init__(self, seed: int):
@@ -139,7 +148,7 @@ def sample_binomial_vk(spec: BinomialSpec, rng: RngHandle, size: Optional[int] =
 def _block_tables(p: int, w: float):
     """Tables for `_sample_block` at (p, w), all O(p^2) or O(support).
 
-    With s = w/sqrt(p) and g(v) = exp(-v^2/s^2) on |v| <= ceil(10 s) + 1:
+    With s = w/sqrt(p) and g(v) = exp(-v^2/s^2) on |v| <= GaussianSpec(s).cut():
     vals[rho], cum[rho]  members v = rho (mod p) of the support, and the
                          running sums of g over them (zero-padded);
     g_mod[rho]           P(v = rho mod p) for v ~ g;
@@ -148,7 +157,7 @@ def _block_tables(p: int, w: float):
                          theta(j) = sum_k exp(-(j + k p)^2 / (p s^2)).
     """
     s = w / math.sqrt(p)
-    cut = int(math.ceil(10.0 * s)) + 1
+    cut = GaussianSpec(s).cut()
     per_class = -(-(2 * cut + 1) // p)
     vals = (-cut + (np.arange(p) + cut) % p)[:, None] + p * np.arange(per_class)[None, :]
     cum = np.cumsum(np.where(vals <= cut, np.exp(-(vals / s) ** 2), 0.0), axis=1)

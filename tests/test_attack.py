@@ -144,11 +144,10 @@ def test_rejects_residue_degree_one_rings():
     cyc = CycloRing(8, 17)
     inst = RlweInstance.generate(cyc, GaussianSpec(8.0), seed=0)
     ss = draw_rlwe(inst, 100)
-    ctx17 = FieldCtx(17)
     with pytest.raises(ValueError, match="residue degree 2"):
-        coset_attack(ss, ctx17)
+        coset_attack(ss)
     with pytest.raises(ValueError, match="residue degree 2"):
-        two_bin_attack(ss, ctx17)
+        two_bin_attack(ss)
 
 
 def test_small_ring_recovery():
@@ -157,7 +156,7 @@ def test_small_ring_recovery():
         expect = _rho_secret(inst, CTX)
         ss = draw_rlwe(inst, 2000)
         for attack in (coset_attack, two_bin_attack):
-            out = attack(ss, CTX)
+            out = attack(ss)
             assert out.verdict == VERDICT_GUESS
             assert out.candidate == expect
     # seed 7 exercises the tau = 0 coset; check it really does
@@ -166,10 +165,10 @@ def test_small_ring_recovery():
 
 def test_counters_q_and_q_squared():
     ss = draw_rlwe(_instance(1), 2000)
-    assert coset_attack(ss, CTX).guesses_evaluated == 13
-    assert two_bin_attack(ss, CTX).guesses_evaluated == 169
-    assert len(coset_attack(ss, CTX).chi2_by_index) == 13
-    assert len(two_bin_attack(ss, CTX).chi2_by_index) == 169
+    assert coset_attack(ss).guesses_evaluated == 13
+    assert two_bin_attack(ss).guesses_evaluated == 169
+    assert len(coset_attack(ss).chi2_by_index) == 13
+    assert len(two_bin_attack(ss).chi2_by_index) == 169
 
 
 def test_table_scale_recovery():
@@ -179,7 +178,7 @@ def test_table_scale_recovery():
     assert _rho_secret(inst, ctx) == (92, 6)
     ss = draw_rlwe(inst, 1730)
     for attack in (coset_attack, two_bin_attack):
-        out = attack(ss, ctx)
+        out = attack(ss)
         assert out.verdict == VERDICT_GUESS
         assert out.candidate == (92, 6)
         assert out.samples_used <= 1730
@@ -187,16 +186,15 @@ def test_table_scale_recovery():
 
 def test_uniform_decoy_rejected():
     ring = FamilyRing(43, 4871, 173)
-    ctx = FieldCtx.for_family(43, 4871, 173)
     inst = RlweInstance.generate(ring, GaussianSpec(200.0), seed=50)
     dec = draw_uniform(inst, 1730)
-    assert coset_attack(dec, ctx).verdict == VERDICT_NOT_RLWE
-    assert two_bin_attack(dec, ctx).verdict == VERDICT_NOT_RLWE
+    assert coset_attack(dec).verdict == VERDICT_NOT_RLWE
+    assert two_bin_attack(dec).verdict == VERDICT_NOT_RLWE
 
 
 def test_coset_insufficient_below_floor():
     ss = draw_rlwe(_instance(1), 30)  # default floor is 5q = 65
-    out = coset_attack(ss, CTX)
+    out = coset_attack(ss)
     assert out.verdict == VERDICT_INSUFFICIENT
     assert out.candidate is None
     assert out.guesses_evaluated == 0
@@ -207,24 +205,24 @@ def test_coset_insufficient_below_floor():
 def test_two_bin_raises_below_floor():
     ss = draw_rlwe(_instance(1), 30)
     with pytest.raises(ValueError, match="needs at least 65 samples, got 30"):
-        two_bin_attack(ss, CTX)
+        two_bin_attack(ss)
 
 
 def test_min_samples_override():
     ss = draw_rlwe(_instance(1), 25)
-    out = coset_attack(ss, CTX, AttackConfig(min_samples=15))
+    out = coset_attack(ss, AttackConfig(min_samples=15))
     assert out.verdict == VERDICT_GUESS
     assert out.candidate == (4, 7)
     assert out.samples_used == 24  # one record lost to a2 = 0
-    out2 = two_bin_attack(ss, CTX, AttackConfig(min_samples=15))
+    out2 = two_bin_attack(ss, AttackConfig(min_samples=15))
     assert out2.verdict == VERDICT_GUESS and out2.candidate == (4, 7)
 
 
 def test_beta_chi_override():
     ss = draw_rlwe(_instance(1), 2000)
-    hi = coset_attack(ss, CTX, AttackConfig(beta_chi=1e9))
+    hi = coset_attack(ss, AttackConfig(beta_chi=1e9))
     assert hi.verdict == VERDICT_NOT_RLWE
-    lo = coset_attack(ss, CTX, AttackConfig(beta_chi=1e-9))
+    lo = coset_attack(ss, AttackConfig(beta_chi=1e-9))
     assert lo.verdict == VERDICT_INSUFFICIENT
     assert len(lo.candidates) >= 13
 
@@ -239,29 +237,70 @@ def test_modal_tie_reports_every_candidate():
     b = np.zeros((n, 4), dtype=np.int64)
     hdr = dict(draw_rlwe(_instance(1), 1).header)
     hdr["count"] = n
-    out = coset_attack(SampleSet(hdr, a, b), CTX)
+    out = coset_attack(SampleSet(hdr, a, b))
     assert out.verdict == VERDICT_INSUFFICIENT
     assert sorted(out.candidates) == [(0, t) for t in range(13)]
+
+
+def test_scores_match_direct_guess_counts():
+    """Both attacks' scores against counts made here, guess by guess.
+
+    Each record is built with zero zeta-coefficients, so rho(a) = (a[0], a[2])
+    and b2 = b[2] with no reduction map involved.  The set holds records with
+    a1 = 0, with a2 = 0 and with both zero, and half of the rest lie on the
+    planted guess (5, 9)."""
+    q, n = 13, 160
+    gen = RngHandle(5).gen
+    a1, a2, b2 = (gen.integers(0, q, size=n) for _ in range(3))
+    a1[:10] = 0
+    a2[10:20] = 0
+    a1[20:30] = a2[20:30] = 0
+    b2[25:28] = 0  # with a = 0 these support every guess
+    b2[30::2] = (5 * a2[30::2] + 9 * a1[30::2]) % q
+    a = np.zeros((n, 4), dtype=np.int64)
+    b = np.zeros((n, 4), dtype=np.int64)
+    a[:, 0], a[:, 2], b[:, 2] = a1, a2, b2
+    b[:, 0] = gen.integers(0, q, size=n)
+    hdr = dict(draw_rlwe(_instance(1), 1).header)
+    hdr["count"] = n
+    ss = SampleSet(hdr, a, b)
+
+    records = list(zip(a1.tolist(), a2.tolist(), b2.tolist()))
+    on_guess = {(u, v): sum((y - u * x2 - v * x1) % q == 0 for x1, x2, y in records)
+                for u in range(q) for v in range(q)}
+    two = two_bin_attack(ss)
+    for (u, v), c in on_guess.items():
+        want = chi_square([c, n - c], [n / q, n * (q - 1) / q])
+        assert abs(two.chi2_by_index[u * q + v] - want) < 1e-9
+
+    kept = [r for r in records if r[1] != 0]
+    cos = coset_attack(ss)
+    assert cos.samples_used == len(kept) < n - 20
+    for t in range(q):
+        row = [sum((y - u * x2 - t * x1) % q == 0 for x1, x2, y in kept)
+               for u in range(q)]
+        assert abs(cos.chi2_by_index[t] - chi_square(row, len(kept) / q)) < 1e-9
+    assert two.candidate == cos.candidate == (5, 9)
 
 
 def test_a2_zero_records_dropped():
     ss = draw_rlwe(_instance(1), 2000)
     _, a2 = reduce_mod_prime_batch(ss.a, RING, CTX)
     expect_usable = 2000 - int((a2 % 13 == 0).sum())
-    assert coset_attack(ss, CTX).samples_used == expect_usable
-    assert two_bin_attack(ss, CTX).samples_used == 2000  # two-bin keeps all
+    assert coset_attack(ss).samples_used == expect_usable
+    assert two_bin_attack(ss).samples_used == 2000  # two-bin keeps all
 
 
 def test_report_shape():
     ss = draw_rlwe(_instance(1), 2000)
-    rep = coset_attack(ss, CTX).report()
+    rep = coset_attack(ss).report()
     assert list(rep.keys()) == ["verdict", "candidate", "chi2_by_index",
                                 "samples_used", "elapsed_ms", "guesses_evaluated"]
     assert rep["verdict"] == VERDICT_GUESS
     assert rep["candidate"] == [4, 7]
     assert all(isinstance(v, float) for v in rep["chi2_by_index"])
     assert all(v == round(v, 6) for v in rep["chi2_by_index"])
-    norep = coset_attack(draw_rlwe(_instance(1), 30), CTX).report()
+    norep = coset_attack(draw_rlwe(_instance(1), 30)).report()
     assert norep["candidate"] is None
 
 

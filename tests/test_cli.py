@@ -116,7 +116,8 @@ def test_gen_samples_stdout_and_file_agree(capsys, tmp_path):
     assert len(out2.splitlines()) == 131  # header + default count 10q
 
 
-def test_gen_samples_validation(capsys):
+def test_gen_samples_validation(capsys, tmp_path):
+    path = tmp_path / "refused.jsonl"
     cases = [
         (("gen-samples", "--q", "13", "--r", "2.0"), "exactly one of --p"),
         (("gen-samples", "--p", "3", "--m", "8", "--q", "13", "--r", "2."),
@@ -136,11 +137,18 @@ def test_gen_samples_validation(capsys):
          "finite and positive"),
         (("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "-1"),
          "finite and positive"),
+        # finite widths whose tail cut would size a table past MAX_TAIL_CUT
+        (("gen-samples", "--m", "8", "--q", "17", "--r", "1e12", "--count", "5"),
+         "too wide to sample"),
+        (("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "1e300",
+          "--count", "5"), "too wide to sample"),
     ]
     for argv, needle in cases:
-        code, _, err = run(capsys, *argv)
+        code, _, err = run(capsys, *argv, "--out", str(path))
         assert code == 2, argv
         assert needle in err, (argv, err)
+        assert len(err.splitlines()) == 1, (argv, err)
+        assert not path.exists(), argv
 
 
 def test_gen_samples_refuses_a_modulus_that_overflows_int64(capsys, tmp_path):
@@ -160,6 +168,35 @@ def test_gen_samples_uniform_note(capsys, tmp_path):
     assert code == 0
     assert err.strip() == "wrote 200 uniform record(s) (seed 0)"
     assert json.loads(path.read_text().splitlines()[0])["error_kind"] == "uniform"
+
+
+class _NoMemory:
+    """Stands in for a module's numpy: every attribute but `empty` is
+    numpy's, and `empty` fails the way a too-large allocation does."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+
+def test_out_of_memory_is_a_runtime_failure(capsys, monkeypatch, tmp_path):
+    from rlwe_workbench import estimator, oracle
+    monkeypatch.setattr(oracle, "np", _NoMemory())
+    path = tmp_path / "big.jsonl"
+    code, out, err = run(capsys, *GEN, "--count", "100000000000", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
+    assert not path.exists()
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(estimator, "sample_lattice_gauss_batch", no_memory)
+    code, out, err = run(capsys, "estimate", "--m", "64", "--q", "193",
+                         "--empirical", "--count", "100000000000")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 # ------------------------------------------------------------------ attack

@@ -8,10 +8,10 @@ import scipy.stats
 
 from rlwe_workbench.rings import (CycloRing, FamilyRing, canonical_embed, RingElem,
                                   _cyclotomic_block_basis, gram_matrix)
-from rlwe_workbench.sampling import (BinomialSpec, GaussianSpec, RngHandle,
-                                     binomial_vk_pmf, compute_beta, sample_binomial_vk,
-                                     sample_dgauss_z, sample_lattice_gauss_batch,
-                                     tail_bound)
+from rlwe_workbench.sampling import (MAX_TAIL_CUT, BinomialSpec, GaussianSpec,
+                                     RngHandle, binomial_vk_pmf, compute_beta,
+                                     sample_binomial_vk, sample_dgauss_z,
+                                     sample_lattice_gauss_batch, tail_bound)
 
 
 def test_spec_validation():
@@ -23,6 +23,10 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             BinomialSpec(bad)
     assert GaussianSpec(2.0).cut() == 21
+    assert GaussianSpec((MAX_TAIL_CUT - 1) / 10).cut() == MAX_TAIL_CUT
+    for wide in (MAX_TAIL_CUT / 10, 1e300, 1.7e308):  # 10 r overflows at the last
+        with pytest.raises(ValueError, match="too wide to sample"):
+            GaussianSpec(wide).cut()
     assert BinomialSpec(4).k == 4
 
 
