@@ -44,6 +44,7 @@ than one worker at every size tried, up to q = 1051.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -111,19 +112,25 @@ class AttackOutcome:
     candidates: List[Tuple[int, int]] = field(default_factory=list)
     beta_chi: float = float("nan")
 
-    def report(self) -> dict:
-        # round(., 6) once per distinct score: the two-bin scores take only
-        # as many values as there are distinct bin-1 counts
+    def report(self) -> str:
+        """The six-key JSON report line, without its newline: the bytes of
+        json.dumps on the report dict, with each score rounded to 6 places.
+
+        Each distinct score is rounded and encoded once, and the array is
+        joined from those tokens, gathered by index.  The two-bin scores
+        take only as many values as there are distinct bin-1 counts: about
+        20 among the 1.1M guesses at q = 1051.  The line is formatted in
+        one step, so the 10 MB array text is copied once."""
         values, index = np.unique(self.chi2_by_index, return_inverse=True)
-        rounded = [round(v, 6) for v in values.tolist()]
-        return {
-            "verdict": self.verdict,
-            "candidate": list(self.candidate) if self.candidate is not None else None,
-            "chi2_by_index": [rounded[i] for i in index.tolist()],
-            "samples_used": self.samples_used,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-            "guesses_evaluated": self.guesses_evaluated,
-        }
+        tokens = np.array([json.dumps(round(v, 6)) for v in values.tolist()], dtype=object)
+        return ('{"verdict": %s, "candidate": %s, "chi2_by_index": [%s], '
+                '"samples_used": %s, "elapsed_ms": %s, "guesses_evaluated": %s}'
+                % (json.dumps(self.verdict),
+                   json.dumps(None if self.candidate is None else list(self.candidate)),
+                   ", ".join(tokens[index].tolist()),
+                   json.dumps(self.samples_used),
+                   json.dumps(round(self.elapsed_ms, 3)),
+                   json.dumps(self.guesses_evaluated)))
 
 
 def _verdict(candidates: List[Tuple[int, int]]):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 
@@ -29,7 +28,7 @@ from .attack import AttackConfig, coset_attack, two_bin_attack
 from .estimator import empirical_uniformity, epsilon, epsilon_deg2
 from .oracle import RlweInstance, SampleFileError
 from .rings import CycloRing
-from .sampling import BinomialSpec, GaussianSpec
+from .sampling import MAX_TAIL_CUT, BinomialSpec, GaussianSpec, WidthError
 
 
 @contextlib.contextmanager
@@ -43,6 +42,17 @@ def _out_stream(path):
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _width_flag(flag: str, value):
+    """Word the sampler's too-wide refusal by the flag and the value given,
+    not by the per-coordinate width the sampler derived from it."""
+    try:
+        yield
+    except WidthError:
+        raise ValueError("%s %g is too wide to sample: a coordinate's tail cut "
+                         "would exceed %d" % (flag, value, MAX_TAIL_CUT)) from None
 
 
 # ------------------------------------------------------------- find-params
@@ -97,7 +107,8 @@ def cmd_gen_samples(args) -> int:
     if args.uniform:
         sample_set = oracle_mod.draw_uniform(instance, count)
     else:
-        sample_set = oracle_mod.draw_rlwe(instance, count)
+        with _width_flag("--r", args.r):
+            sample_set = oracle_mod.draw_rlwe(instance, count)
     with _out_stream(args.out) as fh:
         oracle_mod.dump(sample_set, fh)
     _note("wrote %d %s record(s) (seed %d)"
@@ -115,7 +126,7 @@ def cmd_attack(args) -> int:
     run = coset_attack if args.attack == "coset" else two_bin_attack
     outcome = run(sample_set, config)
     with _out_stream(args.out) as fh:
-        fh.write(json.dumps(outcome.report()) + "\n")
+        fh.write(outcome.report() + "\n")
     _note("verdict: %s%s  (%d samples used, %d guesses, %.1f ms)"
           % (outcome.verdict,
              "" if outcome.candidate is None else " candidate=%s" % (outcome.candidate,),
@@ -139,7 +150,8 @@ def cmd_estimate(args) -> int:
         if args.degree != 1:
             raise ValueError("--empirical reduces into F_q and needs --degree 1")
         count = args.count if args.count is not None else 10 * args.q
-        emp = empirical_uniformity(args.m, args.q, args.r0, count, args.seed)
+        with _width_flag("--r0", args.r0):
+            emp = empirical_uniformity(args.m, args.q, args.r0, count, args.seed)
         header += ",chi2_empirical,uniform"
         row += ",%.4f,%s" % (emp.chi2, "yes" if emp.uniform else "no")
         _note("uniform: %s (chi2 %.2f vs critical %.2f at 0.99)"

@@ -191,10 +191,20 @@ _RING_INT_KEYS = ["p", "d", "m"]  # null where the ring kind has no such paramet
 
 
 def dump(sample_set: SampleSet, fh) -> None:
+    """Write the header line, then one record line per (a, b) pair.
+
+    Each residue is formatted once, from a table of str(0) .. str(q - 1),
+    when the table is no larger than the records; a coefficient outside
+    [0, q) is refused, since `load` would refuse the file."""
+    a, b, q = sample_set.a, sample_set.b, sample_set.header["q"]
+    if a.size and (min(int(a.min()), int(b.min())) < 0
+                   or max(int(a.max()), int(b.max())) >= q):
+        raise ValueError("record coefficients must lie in [0, %d)" % q)
+    enc = [str(i) for i in range(q)].__getitem__ if q <= 2 * a.size else str
     fh.write(json.dumps({k: sample_set.header[k] for k in _HEADER_KEYS}) + "\n")
-    for i in range(len(sample_set)):
-        fh.write('{"a": %s, "b": %s}\n'
-                 % (sample_set.a[i].tolist(), sample_set.b[i].tolist()))
+    for ra, rb in zip(a, b):  # one row at a time: no list of the whole file
+        fh.write('{"a": [%s], "b": [%s]}\n'
+                 % (", ".join(map(enc, ra.tolist())), ", ".join(map(enc, rb.tolist()))))
 
 
 def save(sample_set: SampleSet, path) -> None:

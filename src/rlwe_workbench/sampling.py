@@ -56,6 +56,10 @@ from .rings import CycloRing, Ring
 MAX_TAIL_CUT = 10 ** 6
 
 
+class WidthError(ValueError):
+    """A Gaussian width whose tail cut would exceed MAX_TAIL_CUT."""
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Width r under rho_r(x) = exp(-||x||^2/r^2)."""
@@ -69,7 +73,7 @@ class GaussianSpec:
         """Tail cut ceil(10 r) + 1: the truncated mass is below 2^-100.
         A cut above MAX_TAIL_CUT is refused."""
         if not 10.0 * self.r <= MAX_TAIL_CUT - 1:
-            raise ValueError("Gaussian width %g is too wide to sample: its tail cut "
+            raise WidthError("Gaussian width %g is too wide to sample: its tail cut "
                              "ceil(10 r) + 1 exceeds %d" % (self.r, MAX_TAIL_CUT))
         return int(math.ceil(10.0 * self.r)) + 1
 

@@ -1,5 +1,7 @@
 """Coset and two-bin chi-square distinguishers and their decision thresholds."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -293,15 +295,41 @@ def test_a2_zero_records_dropped():
 
 def test_report_shape():
     ss = draw_rlwe(_instance(1), 2000)
-    rep = coset_attack(ss).report()
+    rep = json.loads(coset_attack(ss).report())
     assert list(rep.keys()) == ["verdict", "candidate", "chi2_by_index",
                                 "samples_used", "elapsed_ms", "guesses_evaluated"]
     assert rep["verdict"] == VERDICT_GUESS
     assert rep["candidate"] == [4, 7]
     assert all(isinstance(v, float) for v in rep["chi2_by_index"])
     assert all(v == round(v, 6) for v in rep["chi2_by_index"])
-    norep = coset_attack(draw_rlwe(_instance(1), 30)).report()
+    norep = json.loads(coset_attack(draw_rlwe(_instance(1), 30)).report())
     assert norep["candidate"] is None
+
+
+def _reference_report(out) -> str:
+    """The report line as json.dumps encodes the six-key dict."""
+    return json.dumps({
+        "verdict": out.verdict,
+        "candidate": None if out.candidate is None else list(out.candidate),
+        "chi2_by_index": [round(v, 6) for v in out.chi2_by_index.tolist()],
+        "samples_used": out.samples_used,
+        "elapsed_ms": round(out.elapsed_ms, 3),
+        "guesses_evaluated": out.guesses_evaluated,
+    })
+
+
+@pytest.mark.parametrize("attack", [coset_attack, two_bin_attack])
+def test_report_bytes_match_json_dumps(attack):
+    rlwe = draw_rlwe(_instance(1), 2000)
+    decoy = draw_uniform(_instance(1), 2000)
+    runs = [(rlwe, None, VERDICT_GUESS), (decoy, None, VERDICT_NOT_RLWE),
+            (rlwe, AttackConfig(beta_chi=1e-9), VERDICT_INSUFFICIENT)]
+    if attack is coset_attack:  # below the floor: all-zero scores
+        runs.append((draw_rlwe(_instance(1), 30), None, VERDICT_INSUFFICIENT))
+    for samples, config, verdict in runs:
+        out = attack(samples, config)
+        assert out.verdict == verdict
+        assert out.report() == _reference_report(out)
 
 
 def test_attack_config_validation():

@@ -137,17 +137,20 @@ def test_gen_samples_validation(capsys, tmp_path):
          "finite and positive"),
         (("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "-1"),
          "finite and positive"),
-        # finite widths whose tail cut would size a table past MAX_TAIL_CUT
+        # finite widths whose tail cut would size a table past MAX_TAIL_CUT;
+        # the refusal names the flag and the value given, not the
+        # per-coordinate width the sampler derives from it
         (("gen-samples", "--m", "8", "--q", "17", "--r", "1e12", "--count", "5"),
-         "too wide to sample"),
+         "--r 1e+12 is too wide to sample"),
         (("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "1e300",
-          "--count", "5"), "too wide to sample"),
+          "--count", "5"), "--r 1e+300 is too wide to sample"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv, "--out", str(path))
         assert code == 2, argv
         assert needle in err, (argv, err)
         assert len(err.splitlines()) == 1, (argv, err)
+        assert "5e+11" not in err and "4.08248e+299" not in err, (argv, err)
         assert not path.exists(), argv
 
 
@@ -396,10 +399,12 @@ def test_estimate_validation_exit_codes(capsys):
     for extra, needle in [(("--r0", "inf"), "finite and positive"),
                           (("--r0", "nan"), "finite and positive"),
                           (("--count", "0"), "count must be >= 1"),
-                          (("--count", "-5"), "count must be >= 1")]:
+                          (("--count", "-5"), "count must be >= 1"),
+                          (("--r0", "1e12"), "--r0 1e+12 is too wide to sample")]:
         code, out, err = run(capsys, *empirical, *extra)
         assert code == 2 and out == "", extra
         assert needle in err, (extra, err)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (extra, err)
 
 
 # ----------------------------------------------------------------- parsing

@@ -117,6 +117,32 @@ def test_round_trip(tmp_path):
     assert back.ring == R
 
 
+@pytest.mark.parametrize("ring, error, uniform", [
+    (FamilyRing(43, 4871, 173), GaussianSpec(200.0), False),
+    (CycloRing(16, 17), BinomialSpec(4), False),
+    (FamilyRing(43, 4871, 173), GaussianSpec(200.0), True),
+    (CycloRing(4, 2 ** 20 + 1), BinomialSpec(4), False),  # q past the table size
+])
+def test_dump_bytes_match_json_dumps(ring, error, uniform):
+    """dump against the header line plus json.dumps of each record."""
+    inst = RlweInstance.generate(ring, error, seed=3)
+    ss = (draw_uniform if uniform else draw_rlwe)(inst, 300)
+    buf = io.StringIO()
+    dump(ss, buf)
+    want = [json.dumps({k: ss.header[k] for k in _HEADER_KEYS})]
+    want += [json.dumps({"a": ss.a[i].tolist(), "b": ss.b[i].tolist()})
+             for i in range(len(ss))]
+    assert buf.getvalue() == "\n".join(want) + "\n"
+
+
+def test_dump_refuses_coefficients_outside_zq():
+    ss = draw_rlwe(RlweInstance.generate(R, GaussianSpec(6.0), seed=8), 4)
+    for bad in (-1, 13):
+        ss.b[2, 1] = bad
+        with pytest.raises(ValueError, match=r"must lie in \[0, 13\)"):
+            dump(ss, io.StringIO())
+
+
 def _lines(tmp_path, seed=8, count=4):
     inst = RlweInstance.generate(R, GaussianSpec(6.0), seed=seed)
     buf = io.StringIO()
