@@ -7,7 +7,7 @@ estimator for reduced error distributions.
 """
 
 from .ffield import FieldCtx, Fq2Elem, legendre, is_prime
-from .rings import FamilyRing, CycloRing, RingElem
+from .rings import FamilyRing, CycloRing
 from .sampling import GaussianSpec, BinomialSpec, RngHandle, tail_bound, compute_beta
 from .oracle import RlweInstance, SampleSet, draw_rlwe, draw_uniform
 from .attack import AttackConfig, AttackOutcome, two_bin_attack, coset_attack, critical_value
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldCtx", "Fq2Elem", "legendre", "is_prime",
-    "FamilyRing", "CycloRing", "RingElem",
+    "FamilyRing", "CycloRing",
     "GaussianSpec", "BinomialSpec", "RngHandle", "tail_bound", "compute_beta",
     "RlweInstance", "SampleSet", "draw_rlwe", "draw_uniform",
     "AttackConfig", "AttackOutcome", "two_bin_attack", "coset_attack", "critical_value",

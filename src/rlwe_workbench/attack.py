@@ -53,7 +53,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ffield import FieldCtx, power_table, root_of_unity
+from .ffield import power_table, root_of_unity
 from .oracle import SampleSet
 from .rings import FamilyRing, reduce_mod_prime_batch
 
@@ -145,11 +145,10 @@ def _rho_batch(samples: SampleSet):
     """(a1, a2, b2) in [0, q): rho(a) and the sqrt(d) coordinate of rho(b)."""
     ring = samples.ring
     if not isinstance(ring, FamilyRing):
-        raise ValueError("attacks need residue degree 2; this sample set's ring "
-                         "reduces into F_q itself")
-    ctx = FieldCtx.for_family(ring.p, ring.d, ring.q)
-    a1, a2 = reduce_mod_prime_batch(samples.a, ring, ctx)
-    _, b2 = reduce_mod_prime_batch(samples.b, ring, ctx)
+        raise ValueError("attacks need a prime of residue degree 2: family-ring "
+                         "samples only (this ring reduces into F_q itself)")
+    a1, a2 = reduce_mod_prime_batch(samples.a, ring)
+    _, b2 = reduce_mod_prime_batch(samples.b, ring)
     return a1, a2, b2
 
 
@@ -260,11 +259,11 @@ def two_bin_attack(samples: SampleSet,
     config = config or AttackConfig()
     q = samples.ring.q
     m = len(samples)
+    a1, a2, b2 = _rho_batch(samples)
     min_samples = config.min_samples if config.min_samples is not None else 5 * q
     if m < min_samples:
         raise ValueError("two-bin attack needs at least %d samples, got %d"
                          % (min_samples, m))
-    a1, a2, b2 = _rho_batch(samples)
     beta = (config.beta_chi if config.beta_chi is not None
             else default_beta_two_bin(q, m))
     counts, fixed = _guess_counts(a1, a2, b2, q)

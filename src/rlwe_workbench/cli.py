@@ -120,8 +120,6 @@ def cmd_gen_samples(args) -> int:
 
 def cmd_attack(args) -> int:
     sample_set = oracle_mod.load(args.samples)
-    if sample_set.header["ring_kind"] != "family":
-        raise ValueError("attacks need a residue-degree-2 prime: family-ring samples only")
     config = AttackConfig(beta_chi=args.beta_chi, min_samples=args.min_samples)
     run = coset_attack if args.attack == "coset" else two_bin_attack
     outcome = run(sample_set, config)

@@ -214,8 +214,8 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
             "degree-2 needs m | q^2-1 and m not dividing q-1; (m=%d, q=%d) fails"
             " (nearest admissible q is %d)" % (m, q, nearest_admissible_q_deg2(m, q)))
     if q * q > _LONG_RUN_Q2 and not long_run:
-        raise ValueError("q^2 = %d exceeds the desk-scale budget; pass long_run=True"
-                         % (q * q))
+        raise ValueError("q^2 = %d exceeds the desk-scale budget; pass long_run=True "
+                         "(--long-run on the command line)" % (q * q))
     ctx = FieldCtx(q)  # d_red = smallest nonresidue w
     t = (q * q - 1) // m
     g = fq2_generator(ctx)
@@ -331,7 +331,7 @@ def empirical_uniformity(m: int, q: int, r0: float, count: int, seed: int,
     ring = CycloRing(m, q)
     spec = GaussianSpec(r0 * math.sqrt(ring.n))
     coeffs, _ = sample_lattice_gauss_batch(ring, spec, RngHandle(seed), count)
-    vals = reduce_mod_prime_batch(coeffs % q, ring, None)
+    vals = reduce_mod_prime_batch(coeffs, ring)
     counts = np.bincount(vals, minlength=q)
     exp = count / q
     chi2 = float(((counts - exp) ** 2).sum() / exp)

@@ -84,7 +84,10 @@ class FieldCtx:
 
     d_red must be a quadratic nonresidue mod q.  alpha_p, when set, is an
     element of multiplicative order p in F_q^* (the image of a p-th root of
-    unity under reduction); attacks on the composite family need it.
+    unity under reduction).  No pipeline reads it: the reduction map takes
+    its root from rings.FamilyRing.alpha(), which for_family matches.  It is
+    kept because the benchmark (bench/workloads.py) reads
+    for_family(...).alpha_p as the program's root.
     """
 
     __slots__ = ("q", "d_red", "alpha_p")

@@ -37,7 +37,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rings import CycloRing, FamilyRing, Ring, RingElem, ring_mul
+from . import family
+from .rings import CycloRing, FamilyRing, Ring, ring_mul
 from .sampling import (BinomialSpec, GaussianSpec, RngHandle, sample_binomial_vk,
                        sample_lattice_gauss_batch)
 
@@ -57,42 +58,42 @@ def secret_commitment(coeffs: np.ndarray, q: int) -> str:
 class RlweInstance:
     """A ring, an error spec, a secret, and the master seed.
 
-    error None is the degenerate zero-error test hook.
+    error None is the degenerate zero-error test hook; secret is the int64
+    coefficient vector of s.
     """
     ring: Ring
     error: ErrorSpec
-    secret: RingElem
+    secret: np.ndarray
     seed: int
 
     @classmethod
     def generate(cls, ring: Ring, error: ErrorSpec, seed: int) -> "RlweInstance":
         rng = RngHandle(seed).fork(_SECRET_INDEX)
         coeffs = rng.gen.integers(0, ring.q, size=ring.deg, dtype=np.int64)
-        return cls(ring, error, RingElem(coeffs), seed)
+        return cls(ring, error, coeffs, seed)
 
 
 class SampleSet:
-    """Header metadata plus ordered (a, b) records as (count, deg) arrays."""
+    """Header metadata, the ring it names, and ordered (a, b) records as
+    (count, deg) arrays."""
 
     def __init__(self, header: dict, a: np.ndarray, b: np.ndarray):
         self.header = header
+        self.ring = _ring_from_header(header)
         self.a = np.asarray(a, dtype=np.int64)
         self.b = np.asarray(b, dtype=np.int64)
-        deg = _ring_from_header(header).deg
-        if self.a.shape != (header["count"], deg) or self.b.shape != self.a.shape:
+        if self.a.shape != (header["count"], self.ring.deg) or self.b.shape != self.a.shape:
             raise ValueError("record arrays do not match header count/degree")
 
     def __len__(self):
         return len(self.a)
 
-    @property
-    def ring(self) -> Ring:
-        return _ring_from_header(self.header)
-
 
 def _ring_from_header(h: dict) -> Ring:
+    """The header's ring; a family ring must be admissible, so that q has
+    residue degree 2 in it."""
     if h["ring_kind"] == "family":
-        return FamilyRing(h["p"], h["d"], h["q"])
+        return family.validate(h["p"], h["d"], h["q"])
     if h["ring_kind"] == "cyclo":
         return CycloRing(h["m"], h["q"])
     raise ValueError("unknown ring_kind %r" % h["ring_kind"])
@@ -150,7 +151,7 @@ def draw_rlwe(instance: RlweInstance, count: int) -> SampleSet:
     ring = instance.ring
     kind, wk = _error_fields(instance.error)
     header = _header(ring, kind, wk, instance.seed, count,
-                     secret_commitment(instance.secret.coeffs, ring.q))
+                     secret_commitment(instance.secret, ring.q))
     a = np.empty((count, ring.deg), dtype=np.int64)
     b = np.empty((count, ring.deg), dtype=np.int64)
     for start in range(0, count, _CHUNK):

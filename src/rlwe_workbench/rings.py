@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .ffield import FieldCtx, power_table, root_of_unity
+from .ffield import power_table, root_of_unity
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,11 @@ class FamilyRing:
         if not (math.isfinite(r0) and r0 > 0):
             raise ValueError("normalized width r0 must be finite and positive, got %r" % r0)
         return r0 * 2 ** (self.log2_disc / (2 * self.deg))
+
+    def alpha(self) -> int:
+        """A primitive p-th root of unity mod q (smallest-base power): the
+        image of zeta_p under rho."""
+        return root_of_unity(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -120,31 +125,7 @@ def _check_int64(ring: Ring) -> None:
                          "arithmetic; q = %d is too large" % (type(ring).__name__, ring.q))
 
 
-class RingElem:
-    """An element of R (or R/qR) as a coefficient vector over the fixed basis."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=np.int64)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, RingElem) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __repr__(self):
-        return "RingElem(%s)" % self.coeffs.tolist()
-
-
-def _check_len(x: RingElem, ring: Ring):
-    if len(x) != ring.deg:
-        raise ValueError("coefficient vector has length %d, ring degree is %d"
-                         % (len(x), ring.deg))
-
-
-def _mul_matrix(s: RingElem, ring: Ring) -> np.ndarray:
+def _mul_matrix(s: np.ndarray, ring: Ring) -> np.ndarray:
     """The matrix M of multiplication by s in R/qR (x*s = x @ M), entries in [0, q).
 
     CycloRing: the negacyclic matrix M[i, j] = s[j - i], negated where
@@ -156,42 +137,41 @@ def _mul_matrix(s: RingElem, ring: Ring) -> np.ndarray:
     q = ring.q
     if isinstance(ring, CycloRing):
         shift = np.arange(ring.n) - np.arange(ring.n)[:, None]
-        return np.where(shift >= 0, 1, -1) * s.coeffs[shift % ring.n] % q
+        return np.where(shift >= 0, 1, -1) * s[shift % ring.n] % q
     p, n = ring.p, ring.family_n
     shift = (np.arange(p) - np.arange(n)[:, None]) % p
 
     def block(c):
         cyc = np.append(c % q, 0)[shift]
         return (cyc[:, :n] - cyc[:, n:]) % q
-    s1, s2 = block(s.coeffs[:n]), block(s.coeffs[n:])
+    s1, s2 = block(s[:n]), block(s[n:])
     return np.block([[s1, s2], [ring.d % q * s2 % q, s1]])
 
 
-def ring_mul(x, y: RingElem, ring: Ring):
-    """Product x*y in R/qR.  x is a RingElem, or a (count, deg) array of
-    coefficient rows multiplied by y at once; the result takes x's form."""
-    rows = x.coeffs[None, :] if isinstance(x, RingElem) else np.asarray(x, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != ring.deg:
-        raise ValueError("coefficient rows have shape %s, ring degree is %d"
-                         % (rows.shape, ring.deg))
-    _check_len(y, ring)
-    out = (rows % ring.q) @ _mul_matrix(y, ring) % ring.q
-    return RingElem(out[0]) if isinstance(x, RingElem) else out
+def ring_mul(x, y, ring: Ring) -> np.ndarray:
+    """Product x*y in R/qR of coefficient arrays: x is one (deg,) vector or
+    a (count, deg) array of rows, each multiplied by the (deg,) vector y;
+    the result has x's shape."""
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim not in (1, 2) or x.shape[-1] != ring.deg or y.shape != (ring.deg,):
+        raise ValueError("coefficient arrays have shapes %s and %s, ring degree is %d"
+                         % (x.shape, y.shape, ring.deg))
+    return (x % ring.q) @ _mul_matrix(y, ring) % ring.q
 
 
 @lru_cache(maxsize=32)
-def _cyclotomic_block_basis(p: int) -> np.ndarray:
-    """Adjusted canonical embedding of Z[zeta_p] (basis 1..zeta^(p-2));
-    Gram is p*I - J, determinant p^(p-2)."""
-    n = p - 1
-    B = np.empty((n, n))
-    col = 0
-    for a in range(1, (p - 1) // 2 + 1):
-        ang = 2.0 * math.pi * a / p
-        for i in range(n):
-            B[i, col] = math.sqrt(2.0) * math.cos(ang * i)
-            B[i, col + 1] = math.sqrt(2.0) * math.sin(ang * i)
-        col += 2
+def _cyclotomic_block_basis(order: int) -> np.ndarray:
+    """Adjusted canonical embedding of Z[zeta_order] for an odd prime or a
+    2-power order, basis 1, zeta, ..., zeta^(phi-1): rows are basis
+    elements, and each exponent j < order/2 prime to order gives the column
+    pair sqrt(2) (cos, sin)(2 pi j i / order).  At an odd prime p the Gram
+    is p*I - J, determinant p^(p-2)."""
+    j = np.arange(1, (order + 1) // 2)
+    j = j[np.gcd(j, order) == 1]
+    ang = np.arange(2 * len(j))[:, None] * (2.0 * math.pi * j / order)
+    B = math.sqrt(2.0) * np.stack([np.cos(ang), np.sin(ang)], axis=2).reshape(len(ang), -1)
+    B.flags.writeable = False
     return B
 
 
@@ -199,16 +179,7 @@ def _cyclotomic_block_basis(p: int) -> np.ndarray:
 def _embedding_matrix(ring: Ring) -> np.ndarray:
     """Rows are iota(basis element) in the frozen coordinate order."""
     if isinstance(ring, CycloRing):
-        n, m = ring.n, ring.m
-        E = np.empty((n, n))
-        col = 0
-        for j in range(1, n, 2):  # representative of the pair (j, m - j)
-            ang = 2.0 * math.pi * j / m
-            for i in range(n):
-                E[i, col] = math.sqrt(2.0) * math.cos(ang * i)
-                E[i, col + 1] = math.sqrt(2.0) * math.sin(ang * i)
-            col += 2
-        return E
+        return _cyclotomic_block_basis(ring.m)
     # pair a of the block basis splits into the +sqrt(d) and -sqrt(d) pairs
     n, deg = ring.family_n, ring.deg
     B = _cyclotomic_block_basis(ring.p).reshape(n, n // 2, 1, 2)
@@ -218,10 +189,14 @@ def _embedding_matrix(ring: Ring) -> np.ndarray:
     return np.vstack([e1, e2])
 
 
-def canonical_embed(x: RingElem, ring: Ring) -> np.ndarray:
-    """iota(x) as a real vector of length deg (signed-integer coefficients)."""
-    _check_len(x, ring)
-    return x.coeffs.astype(float) @ _embedding_matrix(ring)
+def canonical_embed(x, ring: Ring) -> np.ndarray:
+    """iota(x) for a signed-integer coefficient vector x of length deg (or
+    a (count, deg) array of them, one embedded row each)."""
+    x = np.asarray(x)
+    if x.shape[-1:] != (ring.deg,):
+        raise ValueError("coefficient array has shape %s, ring degree is %d"
+                         % (x.shape, ring.deg))
+    return x.astype(float) @ _embedding_matrix(ring)
 
 
 def gram_matrix(ring: Ring) -> np.ndarray:
@@ -230,32 +205,21 @@ def gram_matrix(ring: Ring) -> np.ndarray:
     return E @ E.T
 
 
-def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring, ctx: FieldCtx):
+def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring):
     """The reduction map rho: R/qR -> R/(prime over q), over a (count, deg)
-    coefficient array.
+    coefficient array: every Z[zeta] block is evaluated at ring.alpha().
 
-    FamilyRing: evaluates zeta_p at ctx.alpha_p and sqrt(d) at sqrt(d_red),
-    landing in F_{q^2}; returns the (u, v) int64 coordinate arrays.
-    CycloRing: evaluates zeta_m at the ring's primitive root alpha, landing
-    in F_q; returns one int64 array (ctx may be None).
+    FamilyRing: the e1 and e2 blocks land on the coordinates (u, v) of
+    F_{q^2} = F_q[sqrt(d)], returned as two int64 arrays; the prime has
+    residue degree 2 because the ring is admissible (family.validate).
+    CycloRing: the one block lands in F_q; returns one int64 array.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if coeffs.ndim != 2 or coeffs.shape[1] != ring.deg:
         raise ValueError("expected a (count, %d) coefficient array" % ring.deg)
     q = ring.q
-    if ctx is not None and ctx.q != q:
-        raise ValueError("context modulus %d does not match ring modulus %d" % (ctx.q, q))
+    n = ring.family_n if isinstance(ring, FamilyRing) else ring.n
+    rho = (coeffs % q).reshape(-1, n) @ power_table(ring.alpha(), n, q) % q
     if isinstance(ring, CycloRing):
-        powers = power_table(ring.alpha(), ring.n, q)
-        return (coeffs % q) @ powers % q
-    if ctx.alpha_p is None:
-        raise ValueError("FamilyRing reduction needs a context with alpha_p set")
-    if pow(ctx.alpha_p, ring.p, q) != 1:
-        raise ValueError("ctx.alpha_p does not have order %d mod %d" % (ring.p, q))
-    if (ring.d - ctx.d_red) % q != 0:
-        raise ValueError("ctx.d_red is not d mod q; rho would land in the wrong model of F_{q^2}")
-    n = ring.family_n
-    powers = power_table(ctx.alpha_p, n, q)
-    u = (coeffs[:, :n] % q) @ powers % q
-    v = (coeffs[:, n:] % q) @ powers % q
-    return u, v
+        return rho
+    return rho[0::2], rho[1::2]

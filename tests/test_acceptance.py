@@ -196,7 +196,6 @@ def test_criterion_1_coset_recovery_at_printed_widths():
     results = []
     for p, d, q, printed_r, n in ATTACK_ROWS:
         ring = FamilyRing(p, d, q)
-        ctx = FieldCtx.for_family(p, d, q)
         for r in (printed_r, RECOVERY_WIDTH):
             collapse = block_collapse_probability(p, r / math.sqrt(2 * d))
             hits = wrong = 0
@@ -205,7 +204,7 @@ def test_criterion_1_coset_recovery_at_printed_widths():
                 t0 = time.perf_counter()
                 inst = RlweInstance.generate(ring, GaussianSpec(r), seed=seed)
                 truth = tuple(int(c[0]) for c in reduce_mod_prime_batch(
-                    inst.secret.coeffs[None, :], ring, ctx))
+                    inst.secret[None, :], ring))
                 samples = draw_rlwe(inst, n)
                 out = coset_attack(samples, AttackConfig())
                 elapsed = time.perf_counter() - t0

@@ -13,19 +13,17 @@ from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
                                    chi_square, coset_attack, critical_value,
                                    default_beta_coset, default_beta_two_bin,
                                    two_bin_attack)
-from rlwe_workbench.ffield import FieldCtx
 from rlwe_workbench.oracle import (RlweInstance, SampleSet, draw_rlwe,
                                    draw_uniform)
 from rlwe_workbench.rings import CycloRing, FamilyRing, reduce_mod_prime_batch
 from rlwe_workbench.sampling import GaussianSpec, RngHandle
 
 RING = FamilyRing(3, 2, 13)
-CTX = FieldCtx.for_family(3, 2, 13)
 
 
-def _rho_secret(inst, ctx):
+def _rho_secret(inst):
     """rho(s) as the (u, v) pair a GUESS reports."""
-    u, v = reduce_mod_prime_batch(inst.secret.coeffs[None, :], inst.ring, ctx)
+    u, v = reduce_mod_prime_batch(inst.secret[None, :], inst.ring)
     return int(u[0]), int(v[0])
 
 
@@ -150,19 +148,24 @@ def test_rejects_residue_degree_one_rings():
         coset_attack(ss)
     with pytest.raises(ValueError, match="residue degree 2"):
         two_bin_attack(ss)
+    # below two-bin's 5q sample floor the ring is still what is refused
+    few = draw_rlwe(inst, 10)
+    for attack in (coset_attack, two_bin_attack):
+        with pytest.raises(ValueError, match="residue degree 2"):
+            attack(few)
 
 
 def test_small_ring_recovery():
     for seed in (1, 7):
         inst = _instance(seed)
-        expect = _rho_secret(inst, CTX)
+        expect = _rho_secret(inst)
         ss = draw_rlwe(inst, 2000)
         for attack in (coset_attack, two_bin_attack):
             out = attack(ss)
             assert out.verdict == VERDICT_GUESS
             assert out.candidate == expect
     # seed 7 exercises the tau = 0 coset; check it really does
-    assert _rho_secret(_instance(7), CTX)[1] == 0
+    assert _rho_secret(_instance(7))[1] == 0
 
 
 def test_counters_q_and_q_squared():
@@ -175,9 +178,8 @@ def test_counters_q_and_q_squared():
 
 def test_table_scale_recovery():
     ring = FamilyRing(43, 4871, 173)
-    ctx = FieldCtx.for_family(43, 4871, 173)
     inst = RlweInstance.generate(ring, GaussianSpec(200.0), seed=11)
-    assert _rho_secret(inst, ctx) == (92, 6)
+    assert _rho_secret(inst) == (92, 6)
     ss = draw_rlwe(inst, 1730)
     for attack in (coset_attack, two_bin_attack):
         out = attack(ss)
@@ -287,7 +289,7 @@ def test_scores_match_direct_guess_counts():
 
 def test_a2_zero_records_dropped():
     ss = draw_rlwe(_instance(1), 2000)
-    _, a2 = reduce_mod_prime_batch(ss.a, RING, CTX)
+    _, a2 = reduce_mod_prime_batch(ss.a, RING)
     expect_usable = 2000 - int((a2 % 13 == 0).sum())
     assert coset_attack(ss).samples_used == expect_usable
     assert two_bin_attack(ss).samples_used == 2000  # two-bin keeps all

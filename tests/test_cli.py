@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rlwe_workbench.cli import main
-from rlwe_workbench.ffield import FieldCtx
 from rlwe_workbench.oracle import load
 from rlwe_workbench.rings import FamilyRing, reduce_mod_prime_batch
 
@@ -292,8 +291,7 @@ def test_attack_min_samples(capsys, tmp_path):
     assert code == 0
     # the floor is lifted: every coset is scored on every record with a2 != 0
     report = json.loads(out)
-    _, a2 = reduce_mod_prime_batch(load(path).a, FamilyRing(3, 2, 13),
-                                   FieldCtx.for_family(3, 2, 13))
+    _, a2 = reduce_mod_prime_batch(load(path).a, FamilyRing(3, 2, 13))
     assert report["guesses_evaluated"] == 13
     assert report["samples_used"] == int(np.count_nonzero(a2)) >= 15
     assert len(report["chi2_by_index"]) == 13
@@ -310,16 +308,33 @@ def test_attack_file_errors(capsys, tmp_path):
                        "--samples", str(bad))
     assert code == 1
     assert "line 1: bad header JSON" in err
+    # a family header find-params would not admit: p = 9 is not prime, so
+    # q has no residue degree 2 to attack
+    run(capsys, *GEN, "--count", "30", "--out", str(bad))
+    lines = bad.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["p"] = 9
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    for attack in ("coset", "two-bin"):
+        code, out, err = run(capsys, "attack", "--attack", attack,
+                             "--samples", str(bad), "--workers", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 1: bad ring parameters (inadmissible "
+                              "parameters: p=9 is not an odd prime")
 
 
 def test_attack_rejects_cyclotomic_samples(capsys, tmp_path):
-    path = tmp_path / "c.jsonl"
-    run(capsys, "gen-samples", "--m", "8", "--q", "17", "--k", "4",
-        "--count", "100", "--workers", "1", "--out", str(path))
-    code, _, err = run(capsys, "attack", "--attack", "coset",
-                       "--samples", str(path), "--workers", "1")
-    assert code == 2
-    assert "family-ring samples only" in err
+    # 10 records sit below two-bin's 5q = 85 floor: the ring is refused first
+    for count in ("100", "10"):
+        path = tmp_path / ("c%s.jsonl" % count)
+        run(capsys, "gen-samples", "--m", "8", "--q", "17", "--k", "4",
+            "--count", count, "--workers", "1", "--out", str(path))
+        for attack in ("coset", "two-bin"):
+            code, out, err = run(capsys, "attack", "--attack", attack,
+                                 "--samples", str(path), "--workers", "1")
+            assert (code, out) == (2, ""), (count, attack)
+            assert "residue degree 2" in err and "family-ring samples only" in err
+            assert "needs at least" not in err
 
 
 # ---------------------------------------------------------------- estimate
@@ -359,7 +374,7 @@ def test_estimate_deg2_gates(capsys):
     code, _, err = run(capsys, "estimate", "--m", "256", "--q", "1279",
                        "--degree", "2", "--workers", "1")
     assert code == 2
-    assert "long_run" in err
+    assert "--long-run" in err
     code, out, _ = run(capsys, "estimate", "--m", "256", "--q", "1279",
                        "--degree", "2", "--long-run", "--workers", "1")
     assert code == 0

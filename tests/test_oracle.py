@@ -9,7 +9,7 @@ import pytest
 from rlwe_workbench.oracle import (RlweInstance, SampleFileError, SampleSet,
                                    _HEADER_KEYS, draw_rlwe, draw_uniform, dump,
                                    load, save, secret_commitment)
-from rlwe_workbench.rings import CycloRing, FamilyRing, RingElem, ring_mul
+from rlwe_workbench.rings import CycloRing, FamilyRing, ring_mul
 from rlwe_workbench.sampling import (BinomialSpec, GaussianSpec, RngHandle,
                                      sample_lattice_gauss_batch)
 
@@ -33,16 +33,16 @@ def test_instance_generation_deterministic():
     i1 = RlweInstance.generate(R, GaussianSpec(6.0), seed=42)
     i2 = RlweInstance.generate(R, GaussianSpec(6.0), seed=42)
     i3 = RlweInstance.generate(R, GaussianSpec(6.0), seed=43)
-    assert np.array_equal(i1.secret.coeffs, i2.secret.coeffs)
-    assert not np.array_equal(i1.secret.coeffs, i3.secret.coeffs)
-    assert i1.secret.coeffs.shape == (4,)
-    assert np.all((0 <= i1.secret.coeffs) & (i1.secret.coeffs < 13))
+    assert np.array_equal(i1.secret, i2.secret)
+    assert not np.array_equal(i1.secret, i3.secret)
+    assert i1.secret.shape == (4,) and i1.secret.dtype == np.int64
+    assert np.all((0 <= i1.secret) & (i1.secret < 13))
 
 
 def test_secret_uses_reserved_fork():
     inst = RlweInstance.generate(R, None, seed=42)
     expect = RngHandle(42).fork(1 << 63).gen.integers(0, 13, size=4, dtype=np.int64)
-    assert np.array_equal(inst.secret.coeffs, expect)
+    assert np.array_equal(inst.secret, expect)
 
 
 def test_zero_error_records_are_exact_products():
@@ -51,8 +51,8 @@ def test_zero_error_records_are_exact_products():
     assert ss.header["error_kind"] == "zero"
     assert ss.header["width_or_k"] is None
     for i in range(50):
-        prod = ring_mul(RingElem(ss.a[i]), inst.secret, R)
-        assert np.array_equal(ss.b[i], prod.coeffs % 13)
+        prod = ring_mul(ss.a[i], inst.secret, R)
+        assert np.array_equal(ss.b[i], prod % 13)
 
 
 def test_binomial_error_support():
@@ -61,8 +61,8 @@ def test_binomial_error_support():
     assert ss.header["error_kind"] == "binomial"
     assert ss.header["width_or_k"] == 4
     for i in range(400):
-        prod = ring_mul(RingElem(ss.a[i]), inst.secret, C)
-        e = (ss.b[i] - prod.coeffs) % 17
+        prod = ring_mul(ss.a[i], inst.secret, C)
+        e = (ss.b[i] - prod) % 17
         centered = np.where(e > 8, e - 17, e)
         assert np.all(np.abs(centered) <= 2)
 
@@ -78,8 +78,8 @@ def test_gaussian_records_replay_from_seed():
     assert np.array_equal(a, ss.a)
     e, _ = sample_lattice_gauss_batch(R, spec, rng, 300)
     for i in range(300):
-        prod = ring_mul(RingElem(a[i]), inst.secret, R)
-        assert np.array_equal(ss.b[i], (prod.coeffs + e[i]) % 13)
+        prod = ring_mul(a[i], inst.secret, R)
+        assert np.array_equal(ss.b[i], (prod + e[i]) % 13)
 
 
 def test_uniform_decoy_header_and_determinism():
@@ -230,6 +230,20 @@ def test_load_bad_ring_parameters(tmp_path):
     with pytest.raises(SampleFileError, match="bad ring parameters .*2\\^63") as ei:
         load(path)
     assert ei.value.line == 1
+    # family rings the parameter search would not admit: q must have residue
+    # degree 2, so p prime, d squarefree and 2 or 3 mod 4, gcd(d, p) = 1,
+    # q = 1 mod p and d a nonresidue mod q
+    h["ring_kind"], h["m"] = "family", None
+    for (p, d, q), why in [((9, 3, 19), "p=9 is not an odd prime"),
+                           ((3, 6, 13), "gcd\\(d=6, p=3\\) != 1"),
+                           ((3, 4, 13), "d=4 is not 2 or 3 mod 4"),
+                           ((3, 2, 7), "d=2 is a square mod q=7")]:
+        h["p"], h["d"], h["q"] = p, d, q
+        path = _write(tmp_path, [json.dumps(h)] + lines[1:])
+        with pytest.raises(SampleFileError, match="^line 1: bad ring parameters "
+                           "\\(inadmissible parameters: .*" + why) as ei:
+            load(path)
+        assert ei.value.line == 1, (p, d, q)
 
 
 def test_load_bad_record_json(tmp_path):
