@@ -260,7 +260,8 @@ def two_bin_attack(samples: SampleSet,
     q = samples.ring.q
     m = len(samples)
     a1, a2, b2 = _rho_batch(samples)
-    min_samples = config.min_samples if config.min_samples is not None else 5 * q
+    # at least one record, whatever the override: the statistic divides by m
+    min_samples = max(config.min_samples if config.min_samples is not None else 5 * q, 1)
     if m < min_samples:
         raise ValueError("two-bin attack needs at least %d samples, got %d"
                          % (min_samples, m))

@@ -135,6 +135,8 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------- estimate
 
 def cmd_estimate(args) -> int:
+    if args.empirical and args.degree != 1:
+        raise ValueError("--empirical reduces into F_q and needs --degree 1")
     if args.degree == 1:
         report = epsilon(args.m, args.q, args.k)
     else:
@@ -145,8 +147,6 @@ def cmd_estimate(args) -> int:
         "" if report.log2_bound is None else "%.4f" % report.log2_bound,
         report.beta, report.runtime_ms)
     if args.empirical:
-        if args.degree != 1:
-            raise ValueError("--empirical reduces into F_q and needs --degree 1")
         count = args.count if args.count is not None else 10 * args.q
         with _width_flag("--r0", args.r0):
             emp = empirical_uniformity(args.m, args.q, args.r0, count, args.seed)

@@ -273,22 +273,19 @@ def brute_force_pmf(m: int, q: int, k: int, alpha: int) -> np.ndarray:
 
 
 def brute_force_distance(m: int, q: int, k: int) -> float:
-    """Exact statistical distance, maximized over all primitive roots alpha.
+    """Exact statistical distance, the same for every primitive root alpha.
 
     Delta(e_alpha, uniform) = (1/2) sum_a |pmf(a) - 1/q|, evaluated in
-    integer arithmetic before the one final division.
+    integer arithmetic before the one final division.  One root suffices:
+    for any alpha of exact order m, {alpha^i : i < n} is a transversal of
+    the +/- pairs of H, and V_k is symmetric, so alpha^i e_i and -alpha^i e_i
+    have one distribution and every root gives the same pmf.
     """
     if not (is_prime(q) and (q - 1) % m == 0):
         raise ValueError("need q prime with q = 1 (mod m); got q=%d, m=%d" % (q, m))
-    alpha0 = pow(root_of_unity(q - 1, q), (q - 1) // m, q)
-    n = m // 2
-    total = 2 ** (k * n)
-    best = 0.0
-    for j in range(1, m, 2):
-        numer = _brute_force_numerators(m, q, k, pow(alpha0, j, q))
-        dist_num = sum(abs(c * q - total) for c in numer)
-        best = max(best, dist_num / (2.0 * q * total))
-    return best
+    numer = _brute_force_numerators(m, q, k, root_of_unity(m, q))
+    total = 2 ** (k * (m // 2))
+    return sum(abs(c * q - total) for c in numer) / (2.0 * q * total)
 
 
 def gauss_sum_check(m: int, q: int, alpha: int) -> float:

@@ -61,8 +61,8 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def violations(p: int, d: int, q: int) -> List[str]:
-    """Empty list iff (p, d, q) is admissible; else the named failures."""
+def _pd_violations(p: int, d: int) -> List[str]:
+    """The failures of conditions 1-4, which involve p and d alone."""
     out = []
     if not (p > 2 and is_prime(p)):
         out.append("p=%d is not an odd prime" % p)
@@ -75,6 +75,12 @@ def violations(p: int, d: int, q: int) -> List[str]:
             out.append("d=%d is not squarefree" % d)
     if p > 2 and d >= 1 and math.gcd(d, p) != 1:
         out.append("gcd(d=%d, p=%d) != 1" % (d, p))
+    return out
+
+
+def violations(p: int, d: int, q: int) -> List[str]:
+    """Empty list iff (p, d, q) is admissible; else the named failures."""
+    out = _pd_violations(p, d)
     if not is_prime(q):
         out.append("q=%d is not prime" % q)
     else:
@@ -95,8 +101,7 @@ def validate(p: int, d: int, q: int) -> FamilyRing:
 
 def search_q(p: int, d: int, q_min: int, q_max: int) -> List[FamilyRing]:
     """All admissible q in [q_min, q_max] for fixed (p, d), ascending."""
-    base = violations(p, d, 0)
-    base = [v for v in base if "q=" not in v]
+    base = _pd_violations(p, d)
     if base:
         raise ValueError("inadmissible (p, d): " + "; ".join(base))
     out = []

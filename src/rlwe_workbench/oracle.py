@@ -18,14 +18,19 @@ The secret never appears in the file; secret_hash is the hex sha256 of the
 canonical encoding "q=<q>;coeffs=<c0>,<c1>,..." so a reported guess can be
 checked later against a disclosed secret.
 
+A SampleSet keeps the ring it was built from: load builds it from the
+header once, refusing at line 1 any schema_version but SCHEMA_VERSION and
+any family ring family.validate refuses (only then does q have residue
+degree 2); draw_rlwe and draw_uniform pass on the instance's ring.
+
 Determinism
 -----------
 (seed, count) fully determine the bytes of a sample set.  Generation is
 chunked at a fixed 1024 records with one forked RNG per chunk; the file
 bytes depend on that chunking, so it stays fixed.  Within a chunk the draw
 order is: all a-vectors, then all errors, and b = a*s + e is one ring_mul
-call over the chunk's a-vectors.  The secret uses its own fork index 2^63,
-outside the chunk range.
+call over the chunk's a-vectors; a decoy chunk draws all a, then all b.
+The secret uses its own fork index 2^63, outside the chunk range.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -74,47 +79,19 @@ class RlweInstance:
 
 
 class SampleSet:
-    """Header metadata, the ring it names, and ordered (a, b) records as
-    (count, deg) arrays."""
+    """The ring its caller built, header metadata, and ordered (a, b)
+    records as (count, deg) arrays."""
 
-    def __init__(self, header: dict, a: np.ndarray, b: np.ndarray):
+    def __init__(self, ring: Ring, header: dict, a: np.ndarray, b: np.ndarray):
+        self.ring = ring
         self.header = header
-        self.ring = _ring_from_header(header)
         self.a = np.asarray(a, dtype=np.int64)
         self.b = np.asarray(b, dtype=np.int64)
-        if self.a.shape != (header["count"], self.ring.deg) or self.b.shape != self.a.shape:
+        if self.a.shape != (header["count"], ring.deg) or self.b.shape != self.a.shape:
             raise ValueError("record arrays do not match header count/degree")
 
     def __len__(self):
         return len(self.a)
-
-
-def _ring_from_header(h: dict) -> Ring:
-    """The header's ring; a family ring must be admissible, so that q has
-    residue degree 2 in it."""
-    if h["ring_kind"] == "family":
-        return family.validate(h["p"], h["d"], h["q"])
-    if h["ring_kind"] == "cyclo":
-        return CycloRing(h["m"], h["q"])
-    raise ValueError("unknown ring_kind %r" % h["ring_kind"])
-
-
-def _header(ring: Ring, error_kind: str, width_or_k, seed: int, count: int,
-            secret_hash: Optional[str]) -> dict:
-    fam = isinstance(ring, FamilyRing)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "ring_kind": "family" if fam else "cyclo",
-        "p": ring.p if fam else None,
-        "d": ring.d if fam else None,
-        "m": None if fam else ring.m,
-        "q": ring.q,
-        "error_kind": error_kind,
-        "width_or_k": width_or_k,
-        "seed": seed,
-        "count": count,
-        "secret_hash": secret_hash,
-    }
 
 
 def _error_fields(error: ErrorSpec):
@@ -136,45 +113,57 @@ def _sample_errors(ring: Ring, error: ErrorSpec, rng: RngHandle, count: int):
     return sample_lattice_gauss_batch(ring, error, rng, count)[0]
 
 
-def _gen_chunk(ring, error, secret, seed, start, n):
-    """Records start .. start + n - 1 as (a, b) arrays."""
-    rng = RngHandle(seed).fork(start // _CHUNK)
-    a = rng.gen.integers(0, ring.q, size=(n, ring.deg), dtype=np.int64)
-    e = _sample_errors(ring, error, rng, n)
-    return a, (ring_mul(a, secret, ring) + e) % ring.q
-
-
-def draw_rlwe(instance: RlweInstance, count: int) -> SampleSet:
-    """count records (a, b = a*s + e) with a uniform in R/qR."""
+def _draw(instance, count, chunk, error_kind, width_or_k, secret_hash) -> SampleSet:
+    """count records, 1024 at a time: chunk(rng, n) draws n records as
+    (a, b) arrays from the chunk's own fork of the master seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     ring = instance.ring
-    kind, wk = _error_fields(instance.error)
-    header = _header(ring, kind, wk, instance.seed, count,
-                     secret_commitment(instance.secret, ring.q))
-    a = np.empty((count, ring.deg), dtype=np.int64)
-    b = np.empty((count, ring.deg), dtype=np.int64)
-    for start in range(0, count, _CHUNK):
-        n = min(_CHUNK, count - start)
-        a[start:start + n], b[start:start + n] = _gen_chunk(
-            ring, instance.error, instance.secret, instance.seed, start, n)
-    return SampleSet(header, a, b)
-
-
-def draw_uniform(instance: RlweInstance, count: int) -> SampleSet:
-    """Decoy set: both coordinates uniform and independent in R/qR."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    ring = instance.ring
-    header = _header(ring, "uniform", None, instance.seed, count, None)
     a = np.empty((count, ring.deg), dtype=np.int64)
     b = np.empty((count, ring.deg), dtype=np.int64)
     for start in range(0, count, _CHUNK):
         n = min(_CHUNK, count - start)
         rng = RngHandle(instance.seed).fork(start // _CHUNK)
-        a[start:start + n] = rng.gen.integers(0, ring.q, size=(n, ring.deg), dtype=np.int64)
-        b[start:start + n] = rng.gen.integers(0, ring.q, size=(n, ring.deg), dtype=np.int64)
-    return SampleSet(header, a, b)
+        a[start:start + n], b[start:start + n] = chunk(rng, n)
+    fam = isinstance(ring, FamilyRing)
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "ring_kind": "family" if fam else "cyclo",
+        "p": ring.p if fam else None,
+        "d": ring.d if fam else None,
+        "m": None if fam else ring.m,
+        "q": ring.q,
+        "error_kind": error_kind,
+        "width_or_k": width_or_k,
+        "seed": instance.seed,
+        "count": count,
+        "secret_hash": secret_hash,
+    }
+    return SampleSet(ring, header, a, b)
+
+
+def draw_rlwe(instance: RlweInstance, count: int) -> SampleSet:
+    """count records (a, b = a*s + e) with a uniform in R/qR."""
+    ring, error, secret = instance.ring, instance.error, instance.secret
+
+    def chunk(rng, n):
+        a = rng.gen.integers(0, ring.q, size=(n, ring.deg), dtype=np.int64)
+        e = _sample_errors(ring, error, rng, n)
+        return a, (ring_mul(a, secret, ring) + e) % ring.q
+
+    kind, wk = _error_fields(error)
+    return _draw(instance, count, chunk, kind, wk, secret_commitment(secret, ring.q))
+
+
+def draw_uniform(instance: RlweInstance, count: int) -> SampleSet:
+    """Decoy set: both coordinates uniform and independent in R/qR."""
+    q, deg = instance.ring.q, instance.ring.deg
+
+    def chunk(rng, n):
+        a = rng.gen.integers(0, q, size=(n, deg), dtype=np.int64)
+        return a, rng.gen.integers(0, q, size=(n, deg), dtype=np.int64)
+
+    return _draw(instance, count, chunk, "uniform", None, None)
 
 
 class SampleFileError(ValueError):
@@ -250,10 +239,17 @@ def load(path) -> SampleSet:
             if (type(value) is not int  # bools and floats are refused too
                     and not (value is None and key in _RING_INT_KEYS)):
                 raise SampleFileError(1, "header %r must be an integer, got %r" % (key, value))
+        if header["schema_version"] != SCHEMA_VERSION:
+            raise SampleFileError(1, "unsupported schema_version %d (this reader "
+                                  "knows %d)" % (header["schema_version"], SCHEMA_VERSION))
         if header["count"] < 0:
             raise SampleFileError(1, "header count %d is negative" % header["count"])
+        if header["ring_kind"] not in ("family", "cyclo"):
+            raise SampleFileError(1, "bad ring parameters (unknown ring_kind %r)"
+                                  % header["ring_kind"])
         try:
-            ring = _ring_from_header(header)
+            ring = (family.validate(header["p"], header["d"], header["q"])
+                    if header["ring_kind"] == "family" else CycloRing(header["m"], header["q"]))
         except (ValueError, TypeError) as e:
             raise SampleFileError(1, "bad ring parameters (%s)" % e) from e
         count, deg, q = header["count"], ring.deg, ring.q
@@ -298,4 +294,4 @@ def load(path) -> SampleSet:
         if done != count:
             raise SampleFileError(done + 1, "expected %d records, found %d" % (count, done))
     a, b = zip(*chunks)
-    return SampleSet(header, np.concatenate(a), np.concatenate(b))
+    return SampleSet(ring, header, np.concatenate(a), np.concatenate(b))

@@ -241,7 +241,7 @@ def test_modal_tie_reports_every_candidate():
     b = np.zeros((n, 4), dtype=np.int64)
     hdr = dict(draw_rlwe(_instance(1), 1).header)
     hdr["count"] = n
-    out = coset_attack(SampleSet(hdr, a, b))
+    out = coset_attack(SampleSet(RING, hdr, a, b))
     assert out.verdict == VERDICT_INSUFFICIENT
     assert sorted(out.candidates) == [(0, t) for t in range(13)]
 
@@ -267,7 +267,7 @@ def test_scores_match_direct_guess_counts():
     b[:, 0] = gen.integers(0, q, size=n)
     hdr = dict(draw_rlwe(_instance(1), 1).header)
     hdr["count"] = n
-    ss = SampleSet(hdr, a, b)
+    ss = SampleSet(RING, hdr, a, b)
 
     records = list(zip(a1.tolist(), a2.tolist(), b2.tolist()))
     on_guess = {(u, v): sum((y - u * x2 - v * x1) % q == 0 for x1, x2, y in records)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rlwe_workbench import cli, family
 from rlwe_workbench.cli import main
 from rlwe_workbench.oracle import load
 from rlwe_workbench.rings import FamilyRing, reduce_mod_prime_batch
@@ -113,6 +114,27 @@ def test_gen_samples_stdout_and_file_agree(capsys, tmp_path):
                                    "q", "error_kind", "width_or_k", "seed",
                                    "count", "secret_hash"]
     assert len(out2.splitlines()) == 131  # header + default count 10q
+
+
+def test_family_ring_validated_once_per_command(capsys, monkeypatch, tmp_path):
+    calls = []
+    validate = family.validate
+
+    def counted(p, d, q):
+        calls.append((p, d, q))
+        return validate(p, d, q)
+
+    monkeypatch.setattr(family, "validate", counted)
+    path = tmp_path / "s.jsonl"
+    for extra in ((), ("--uniform",)):
+        assert run(capsys, *GEN, *extra, "--out", str(path))[0] == 0
+        assert calls == [(3, 2, 13)], extra
+        del calls[:]
+    load(path)
+    assert calls == [(3, 2, 13)]
+    del calls[:]
+    assert run(capsys, "attack", "--attack", "coset", "--samples", str(path))[0] == 0
+    assert calls == [(3, 2, 13)]
 
 
 def test_gen_samples_validation(capsys, tmp_path):
@@ -297,6 +319,21 @@ def test_attack_min_samples(capsys, tmp_path):
     assert len(report["chi2_by_index"]) == 13
 
 
+def test_attack_two_bin_refuses_zero_records(capsys, tmp_path):
+    # a lowered floor still asks for one record: the statistic divides by
+    # the record count, so an empty file would score every guess NaN
+    path = tmp_path / "empty.jsonl"
+    run(capsys, *GEN, "--count", "1", "--out", str(path))
+    header = json.loads(path.read_text().splitlines()[0])
+    header["count"] = 0
+    path.write_text(json.dumps(header) + "\n")
+    for floor in ("0", "-3"):
+        code, out, err = run(capsys, "attack", "--attack", "two-bin",
+                             "--samples", str(path), "--min-samples", floor)
+        assert (code, out) == (2, "")
+        assert err == "error: two-bin attack needs at least 1 samples, got 0\n"
+
+
 def test_attack_file_errors(capsys, tmp_path):
     code, _, err = run(capsys, "attack", "--attack", "coset",
                        "--samples", str(tmp_path / "missing.jsonl"))
@@ -381,7 +418,7 @@ def test_estimate_deg2_gates(capsys):
     assert out.splitlines()[1].split(",")[4] == "146"
 
 
-def test_estimate_empirical(capsys):
+def test_estimate_empirical(capsys, monkeypatch):
     code, out, err = run(capsys, "estimate", "--m", "64", "--q", "193",
                          "--empirical", "--workers", "1")
     assert code == 0
@@ -389,6 +426,8 @@ def test_estimate_empirical(capsys):
     assert lines[0].endswith(",chi2_empirical,uniform")
     assert lines[1].endswith(",198.8000,yes")  # seed 0, count 10q, r0 sqrt(2pi)
     assert err.strip() == "uniform: yes (chi2 198.80 vs critical 240.51 at 0.99)"
+    # the flag is refused before any degree-2 sum is computed
+    monkeypatch.setattr(cli, "epsilon_deg2", lambda *a, **k: pytest.fail("summed"))
     code, _, err = run(capsys, "estimate", "--m", "128", "--q", "1151",
                        "--degree", "2", "--empirical", "--workers", "1")
     assert code == 2

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rlwe_workbench.estimator import (EstimateReport, _deg2_coset_logs, _logsumexp2,
+from rlwe_workbench.estimator import (EstimateReport, _brute_force_numerators,
+                                      _deg2_coset_logs, _logsumexp2,
                                       brute_force_distance, brute_force_pmf,
                                       deg2_admissible, empirical_uniformity,
                                       epsilon, epsilon_deg2,
@@ -230,6 +231,17 @@ def test_brute_force_pmf_frozen():
 def test_brute_force_distance_exact():
     assert brute_force_distance(4, 5, 2) == 0.05
     assert brute_force_distance(4, 5, 2) <= 2 ** epsilon(4, 5, 2).log2_eps + 1e-12
+
+
+def test_brute_force_every_primitive_root_same_counts():
+    # {alpha^i : i < n} is a transversal of the +/- pairs of H for every
+    # root alpha of order m, and V_k is symmetric: one distribution for all
+    for m, q, k in [(8, 17, 2), (16, 97, 2)]:
+        roots = [a for a in range(1, q) if pow(a, m // 2, q) == q - 1]
+        assert len(roots) == m // 2
+        counts = {tuple(_brute_force_numerators(m, q, k, a)) for a in roots}
+        assert len(counts) == 1
+        assert sum(next(iter(counts))) == 2 ** (k * m // 2)
 
 
 def test_brute_force_guard():

@@ -183,6 +183,17 @@ def test_load_header_field_types(tmp_path):
         assert ei.value.line == 1, (key, bad)
 
 
+def test_load_unknown_schema_version(tmp_path):
+    lines = _lines(tmp_path)
+    for version in (0, 2, 7, -1):
+        h = json.loads(lines[0])
+        h["schema_version"] = version
+        with pytest.raises(SampleFileError, match="unsupported schema_version %d "
+                           "\\(this reader knows 1\\)" % version) as ei:
+            load(_write(tmp_path, [json.dumps(h)] + lines[1:]))
+        assert ei.value.line == 1
+
+
 def test_load_negative_count(tmp_path):
     lines = _lines(tmp_path)
     h = json.loads(lines[0])
@@ -332,9 +343,24 @@ def test_sample_set_shape_validation():
     inst = RlweInstance.generate(R, None, seed=1)
     ss = draw_rlwe(inst, 5)
     with pytest.raises(ValueError, match="record arrays"):
-        SampleSet(ss.header, ss.a[:4], ss.b)
+        SampleSet(ss.ring, ss.header, ss.a[:4], ss.b)
     with pytest.raises(ValueError, match="record arrays"):
-        SampleSet(ss.header, ss.a, ss.b[:, :3])
+        SampleSet(ss.ring, ss.header, ss.a, ss.b[:, :3])
+
+
+def test_sample_set_keeps_the_callers_ring(tmp_path):
+    # the draws hand over the instance's ring unchecked; load checks the
+    # header's ring, so a hand-built inadmissible ring's file is refused
+    ring = FamilyRing(3, 4, 13)  # d = 4 is neither squarefree nor 2, 3 mod 4
+    inst = RlweInstance.generate(ring, None, seed=1)
+    for draw in (draw_rlwe, draw_uniform):
+        ss = draw(inst, 5)
+        assert ss.ring is ring
+        path = tmp_path / "bad.jsonl"
+        save(ss, path)
+        with pytest.raises(SampleFileError, match="inadmissible parameters") as ei:
+            load(path)
+        assert ei.value.line == 1
 
 
 def test_count_validation():
