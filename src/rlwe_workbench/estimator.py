@@ -22,19 +22,21 @@ H.  Two consequences used throughout:
   * eps(m, q, k, alpha) is the same for every root alpha of exact order m
     (they all generate H), so one computation gives the maximum over all
     phi(m) of them;
-  * the y-sum needs one term per coset, (q-1)/m of them, n cosines each:
-    (q-1)/2 cosine evaluations total instead of n*(q-1).
+  * the y-sum needs one term per coset, (q-1)/m of them, n table gathers
+    each: (q-1)/2 gathers total instead of n*(q-1) cosine evaluations.
 
-Values reach 2^-431 and beyond, so every term is accumulated as
-k * sum_i log2|cos|, terms below 2^-1100 are flushed to zero, and the sum
-uses a max-shifted exponent accumulation.  Cosine arguments are built by
-integer modular arithmetic only.
+The i-th cosine argument is a linear form x_i = coef[i] . y mod q of the
+coset representative y, built by integer arithmetic only, so each term is
+k times the sum, in order of i, of n gathers from one q-entry table of
+log2|cos(pi x / q)|.  Values reach 2^-1600 at larger k; the terms are
+summed by max-shifted exponent accumulation, with none dropped.
 
 The degree-2 variant replaces F_q by F_{q^2} (alpha of order m | q^2-1,
 m not dividing q-1) and puts a trace inside the cosine:
 term(y) = prod_{i=1}^{n} cos(pi * Tr(alpha^i y) / q)^k over y != 0 in
-F_{q^2}, with Tr(u + v*sqrt(w)) = 2u.  Same H-orbit structure: one term
-per coset g^j H, j < t = (q^2-1)/m, for g a generator of F_{q^2}*.
+F_{q^2}, with Tr(u + v*sqrt(w)) = 2u: the form (2c, 2dw) . (u, v) for
+alpha^i = c + d*sqrt(w).  Same H-orbit structure: one term per coset
+g^j H, j < t = (q^2-1)/m, for g a generator of F_{q^2}*.
 Instances with q^2 > 1.5e6 sit behind long_run=True.
 
 The Frobenius y -> y^q fixes the degree-2 term as well.  With q' the
@@ -45,7 +47,7 @@ cos^k is even), and i -> i q' permutes the residues mod n since q' is odd:
 term(y^q) = term(y).  Frobenius sends the coset g^j H to g^(jq mod t) H,
 and q^2 = 1 (mod t), so its orbits on the cosets have size 1 (t | j(q-1))
 or 2.  The sum takes one term per orbit, weighted by the orbit size: a
-little over half of the (q^2-1)/2 cosine evaluations.
+little over half of the (q^2-1)/2 table gathers.
 
 The field kit comes from the ffield module: root_of_unity and power_table
 in F_q, and in F_{q^2} = FieldCtx(q) (w is its d_red, the smallest
@@ -55,6 +57,7 @@ orbit walk vectorised.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -68,7 +71,6 @@ from .ffield import (FieldCtx, fq2_generator, fq2_power_table, is_prime, power_t
 from .rings import CycloRing, reduce_mod_prime_batch
 from .sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
 
-_FLUSH_LOG2 = -1100.0
 _LONG_RUN_Q2 = 1_500_000
 
 
@@ -96,26 +98,24 @@ def _has_order_m(alpha: int, m: int, q: int) -> bool:
 
 
 def _logsumexp2(logs: np.ndarray) -> float:
-    kept = logs[logs > _FLUSH_LOG2]
-    if kept.size == 0:
+    if logs.size == 0:
         return -math.inf
-    top = float(kept.max())
-    return top + math.log2(np.exp2(kept - top).sum())
+    top = float(logs.max())
+    return top + math.log2(np.exp2(logs - top).sum())
+
+
+def _orbit_logs(coef: np.ndarray, reps: np.ndarray, q: int, k: int) -> np.ndarray:
+    """log2 of the term at each coset representative y, a column of reps:
+    k * sum_i log2|cos(pi x_i / q)| with x_i = coef[i] . y mod q."""
+    # q odd => no x hits q/2, so no cosine is exactly 0
+    table = np.log2(np.abs(np.cos(np.pi * np.arange(q) / q)))
+    logs = np.zeros(reps.shape[1])
+    for row in coef:
+        logs += table[row @ reps % q]
+    return k * logs
 
 
 # ---------------------------------------------------------------- degree 1
-
-def _deg1_orbit_logs(m: int, q: int, k: int) -> np.ndarray:
-    """log2 of the per-coset y-term, one entry per coset of H in F_q*."""
-    g = root_of_unity(q - 1, q)
-    t = (q - 1) // m
-    reps = power_table(g, t, q)
-    apow = power_table(pow(g, t, q), m // 2, q)
-    args = apow[:, None] * reps[None, :] % q
-    # q odd => no argument hits q/2, so no cosine is exactly 0
-    logs = np.log2(np.abs(np.cos(np.pi * args / q))).sum(axis=0)
-    return k * logs
-
 
 def _assemble_log2_eps(m: int, orbit_logs: np.ndarray) -> float:
     # sum over y != 0 = m * (sum over coset representatives); then * 1/2
@@ -167,7 +167,11 @@ def epsilon(m: int, q: int, k: int) -> EstimateReport:
         raise ValueError("q=%d is not prime" % q)
     if (q - 1) % m != 0:
         raise ValueError("no m-th roots of unity: q=%d is not 1 mod m=%d" % (q, m))
-    log2_eps = _assemble_log2_eps(m, _deg1_orbit_logs(m, q, k))
+    g = root_of_unity(q - 1, q)
+    t = (q - 1) // m
+    apow = power_table(pow(g, t, q), m // 2, q)  # alpha^i, i < n
+    reps = power_table(g, t, q)  # one y per coset of H in F_q*
+    log2_eps = _assemble_log2_eps(m, _orbit_logs(apow[:, None], reps[None, :], q, k))
     return EstimateReport(m, q, k, 1, log2_eps,
                           _bound_or_none(m, q, k), _beta_gauss(m, q),
                           (time.perf_counter() - t0) * 1e3)
@@ -181,26 +185,19 @@ def deg2_admissible(m: int, q: int) -> bool:
             and (q * q - 1) % m == 0 and (q - 1) % m != 0)
 
 
-def nearest_admissible_q_deg2(m: int, q0: int) -> int:
-    """The admissible prime closest to q0 (smaller wins a tie)."""
-    if deg2_admissible(m, q0):
-        return q0
-    for delta in range(1, q0):
-        for cand in (q0 - delta, q0 + delta):
-            if cand > 2 and deg2_admissible(m, cand):
-                return cand
-    raise ValueError("no admissible q near %d for m=%d" % (q0, m))
-
-
-def _deg2_coset_logs(u, v, cs, ds, q: int, w: int, k: int) -> np.ndarray:
-    """log2 of the term at each coset representative y = u + v sqrt(w),
-    with alpha^i = cs[i] + ds[i] sqrt(w) running over i = 1..n."""
-    logs = np.zeros(len(u), dtype=np.float64)
-    for c, d in zip(cs, ds):
-        # Tr((c + d sqrt(w)) (u + v sqrt(w))) = 2 (c u + d v w)
-        tr = 2 * ((c * u + (d * w % q) * v) % q) % q
-        logs += np.log2(np.abs(np.cos(np.pi * tr / q)))
-    return k * logs
+def nearest_admissible_q_deg2(m: int, q0: int) -> Optional[int]:
+    """The admissible prime in (2, 2 q0) closest to q0 (smaller wins a tie),
+    or None.  For a 2-power m >= 4, m | q^2-1 only if q = +-1 (mod m/2), so
+    only those q are tried; m = 2 divides q-1 whenever it divides q^2-1."""
+    if not _is_pow2(m) or m < 4:
+        return None
+    h = m // 2
+    below = (x for b in range(q0 - q0 % h + h, 0, -h) for x in (b + 1, b - 1)
+             if 2 < x <= q0)
+    above = (x for b in range(q0 - q0 % h, 2 * q0 + h, h) for x in (b - 1, b + 1)
+             if q0 < x < 2 * q0)
+    nearest_first = heapq.merge(below, above, key=lambda x: (abs(x - q0), x))
+    return next((x for x in nearest_first if deg2_admissible(m, x)), None)
 
 
 def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateReport:
@@ -210,9 +207,10 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
     if not is_prime(q):
         raise ValueError("q=%d is not prime" % q)
     if not deg2_admissible(m, q):
+        near = nearest_admissible_q_deg2(m, q)
         raise ValueError(
-            "degree-2 needs m | q^2-1 and m not dividing q-1; (m=%d, q=%d) fails"
-            " (nearest admissible q is %d)" % (m, q, nearest_admissible_q_deg2(m, q)))
+            "degree-2 needs m | q^2-1 and m not dividing q-1; (m=%d, q=%d) fails%s"
+            % (m, q, "" if near is None else " (nearest admissible q is %d)" % near))
     if q * q > _LONG_RUN_Q2 and not long_run:
         raise ValueError("q^2 = %d exceeds the desk-scale budget; pass long_run=True "
                          "(--long-run on the command line)" % (q * q))
@@ -225,10 +223,10 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
     jq = j * q % t
     rep = j <= jq
     u, v = fq2_power_table(g, t)
-    # alpha = g^t has order m; apow[j] = alpha^j for j < m
-    apow = fq2_power_table(g ** t, m)
-    cs, ds = apow[0][1:m // 2 + 1], apow[1][1:m // 2 + 1]  # alpha^1 .. alpha^n
-    orbit_logs = (_deg2_coset_logs(u[rep], v[rep], cs, ds, q, ctx.d_red, k)
+    cs, ds = fq2_power_table(g ** t, m // 2 + 1)  # alpha = g^t has order m
+    # alpha^i = c + d sqrt(w), i = 1..n: Tr(alpha^i (u + v sqrt(w))) = 2cu + 2dwv
+    coef = np.stack([2 * cs[1:] % q, 2 * ds[1:] * ctx.d_red % q], axis=1)
+    orbit_logs = (_orbit_logs(coef, np.stack([u[rep], v[rep]]), q, k)
                   + (jq[rep] != j[rep]))  # log2 of the orbit size
     log2_eps = _assemble_log2_eps(m, orbit_logs)
     return EstimateReport(m, q, k, 2, log2_eps,
@@ -241,12 +239,13 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
 def _brute_force_numerators(m: int, q: int, k: int, alpha: int) -> List[int]:
     """Exact counts (over 2^(kn)) of sum_i alpha^i e_i mod q, e_i i.i.d. V_k.
 
-    Feasible only while (k+1)^n <= 2^24, n = m/2.
+    The convolution takes n*q*(k+1) steps, n = m/2; refused above 2^22.
     """
     _check_mk(m, k)
     n = m // 2
-    if n * math.log2(k + 1) > 24:
-        raise ValueError("support (k+1)^%d too large for exact convolution" % n)
+    steps = n * q * (k + 1)
+    if steps > 1 << 22:
+        raise ValueError("n*q*(k+1) = %d too large for exact convolution" % steps)
     if not _has_order_m(alpha % q, m, q):
         raise ValueError("alpha=%d does not have exact order %d mod %d" % (alpha, m, q))
     shifts = [t - k // 2 for t in range(k + 1)]
@@ -285,7 +284,7 @@ def brute_force_distance(m: int, q: int, k: int) -> float:
         raise ValueError("need q prime with q = 1 (mod m); got q=%d, m=%d" % (q, m))
     numer = _brute_force_numerators(m, q, k, root_of_unity(m, q))
     total = 2 ** (k * (m // 2))
-    return sum(abs(c * q - total) for c in numer) / (2.0 * q * total)
+    return sum(abs(c * q - total) for c in numer) / (2 * q * total)
 
 
 def gauss_sum_check(m: int, q: int, alpha: int) -> float:

@@ -418,6 +418,25 @@ def test_estimate_deg2_gates(capsys):
     assert out.splitlines()[1].split(",")[4] == "146"
 
 
+@pytest.mark.parametrize("argv, floor", [
+    (["--m", "512", "--q", "10753", "--k", "6"], "1273"),
+    (["--m", "512", "--q", "5119", "--degree", "2", "--long-run", "--k", "8"], "1211"),
+])
+def test_estimate_eps_below_2_to_the_minus_1100(capsys, argv, floor):
+    code, out, err = run(capsys, "estimate", *argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[4] == floor
+
+
+def test_estimate_deg2_refusal_without_a_suggestion(capsys):
+    code, out, err = run(capsys, "estimate", "--m", "1099511627776",
+                         "--q", "1000000000039", "--degree", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: degree-2 needs") and len(err.splitlines()) == 1
+
+
 def test_estimate_empirical(capsys, monkeypatch):
     code, out, err = run(capsys, "estimate", "--m", "64", "--q", "193",
                          "--empirical", "--workers", "1")

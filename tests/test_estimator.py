@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from rlwe_workbench import estimator
 from rlwe_workbench.estimator import (EstimateReport, _brute_force_numerators,
-                                      _deg2_coset_logs, _logsumexp2,
+                                      _logsumexp2, _orbit_logs,
                                       brute_force_distance, brute_force_pmf,
                                       deg2_admissible, empirical_uniformity,
                                       epsilon, epsilon_deg2,
@@ -16,6 +17,7 @@ from rlwe_workbench.estimator import (EstimateReport, _brute_force_numerators,
 from rlwe_workbench.attack import critical_value
 from rlwe_workbench.ffield import FieldCtx, fq2_generator, fq2_power_table
 from rlwe_workbench.sampling import binomial_vk_pmf
+from test_acceptance import full_grid_log2_eps_deg1, full_grid_log2_eps_deg2
 
 
 # ------------------------------------------------------------ exact anchors
@@ -103,11 +105,46 @@ def test_theoretical_bound():
 
 def test_logsumexp2():
     assert _logsumexp2(np.array([-3.0, -3.0])) == -2.0
-    assert _logsumexp2(np.array([-2000.0])) == -math.inf
+    assert _logsumexp2(np.array([-2000.0])) == -2000.0  # no absolute floor
     assert _logsumexp2(np.array([], dtype=float)) == -math.inf
-    assert _logsumexp2(np.array([-1.0, -2000.0])) == -1.0  # flushed term
+    assert _logsumexp2(np.array([-1.0, -2000.0])) == -1.0  # underflows after the shift
     got = _logsumexp2(np.array([-700.0, -700.0]))  # beyond float underflow
     assert abs(got - (-699.0)) < 1e-9
+
+
+@pytest.mark.parametrize("estimate, m, q, k, full_grid", [
+    (epsilon, 512, 10753, 6, full_grid_log2_eps_deg1),
+    (epsilon, 512, 10753, 16, full_grid_log2_eps_deg1),
+    (epsilon_deg2, 128, 1151, 60, full_grid_log2_eps_deg2),
+])
+def test_eps_below_2_to_the_minus_1100_matches_full_grid(estimate, m, q, k, full_grid):
+    # every term lies below 2^-1100: the sum is finite and still the full grid's
+    rep = estimate(m, q, k)
+    assert rep.log2_eps < -1100.0
+    assert abs(rep.log2_eps - full_grid(m, q, k)) < 1e-9
+
+
+@pytest.mark.parametrize("estimate, m, q", [
+    (epsilon, 64, 193), (epsilon, 512, 10753),
+    (epsilon_deg2, 64, 383), (epsilon_deg2, 128, 1151),
+])
+def test_orbit_logs_equal_per_element_formula(monkeypatch, estimate, m, q):
+    # the table gather gives exactly the per-element cosine and logarithm,
+    # added over i in order, on the inputs epsilon / epsilon_deg2 build
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _orbit_logs(*args)
+    monkeypatch.setattr(estimator, "_orbit_logs", spy)
+    estimate(m, q, 2)
+    (coef, reps, q_, k), = calls
+    assert q_ == q and coef.shape[0] == m // 2
+    want = np.zeros(reps.shape[1])
+    for row in coef:
+        x = row @ reps % q
+        want += np.log2(np.abs(np.cos(np.pi * x / q)))
+    assert np.array_equal(_orbit_logs(coef, reps, q, k), k * want)
 
 
 # ------------------------------------------------------------------ degree 2
@@ -174,6 +211,16 @@ def test_deg2_rejections():
         epsilon_deg2(64, 193, 2)  # 64 | 192: this q is a degree-1 instance
 
 
+@pytest.mark.parametrize("m, q", [(2, 1000003), (2 ** 40, 1000000000039)])
+def test_deg2_refusal_without_a_suggestion(m, q):
+    # no q is admissible at m = 2, and none lies in (2, 2q) at m = 2^40:
+    # the refusal comes at once and keeps its own message
+    assert nearest_admissible_q_deg2(m, q) is None
+    with pytest.raises(ValueError, match="degree-2 needs") as err:
+        epsilon_deg2(m, q, 2)
+    assert "nearest" not in str(err.value)
+
+
 def test_deg2_long_run_gate():
     with pytest.raises(ValueError, match="long_run=True"):
         epsilon_deg2(256, 1279, 2)
@@ -203,7 +250,8 @@ def test_deg2_coset_terms_are_frobenius_invariant(m, q):
     g = fq2_generator(ctx)
     u, v = fq2_power_table(g, t)
     cs, ds = fq2_power_table(g ** t, m // 2 + 1)
-    logs = _deg2_coset_logs(u, v, cs[1:], ds[1:], q, ctx.d_red, 2)
+    coef = np.stack([2 * cs[1:] % q, 2 * ds[1:] * ctx.d_red % q], axis=1)
+    logs = _orbit_logs(coef, np.stack([u, v]), q, 2)
     j = np.arange(t)
     assert np.abs(logs - logs[j * q % t]).max() < 1e-12
 
@@ -245,14 +293,18 @@ def test_brute_force_every_primitive_root_same_counts():
 
 
 def test_brute_force_guard():
+    # the convolution costs n*q*(k+1) steps: 8.3e6 here, above 2^22
     with pytest.raises(ValueError, match="too large for exact convolution"):
-        brute_force_pmf(64, 3329, 2, 2)
+        brute_force_pmf(512, 10753, 2, 2)
 
 
 def test_distance_bounded_by_estimate():
-    for m, q, k in [(4, 13, 2), (8, 17, 2)]:
+    # compared in bits: at (64, 193) and (128, 1153), -log2 TV = 44.70 and
+    # 102.18 against -log2 eps = 41.34 and 97.86; at k = 16, 2^(kn) = 2^1024
+    # has no float, so the one final division is int / int
+    for m, q, k in [(4, 13, 2), (8, 17, 2), (64, 193, 2), (128, 1153, 2), (128, 1153, 16)]:
         delta = brute_force_distance(m, q, k)
-        assert delta <= 2 ** epsilon(m, q, k).log2_eps + 1e-12
+        assert 0.0 < delta and -math.log2(delta) >= -epsilon(m, q, k).log2_eps
 
 
 def test_gauss_sum_check():
