@@ -167,11 +167,17 @@ def epsilon(m: int, q: int, k: int) -> EstimateReport:
         raise ValueError("q=%d is not prime" % q)
     if (q - 1) % m != 0:
         raise ValueError("no m-th roots of unity: q=%d is not 1 mod m=%d" % (q, m))
-    g = root_of_unity(q - 1, q)
     t = (q - 1) // m
-    apow = power_table(pow(g, t, q), m // 2, q)  # alpha^i, i < n
-    reps = power_table(g, t, q)  # one y per coset of H in F_q*
-    log2_eps = _assemble_log2_eps(m, _orbit_logs(apow[:, None], reps[None, :], q, k))
+    if t == 1:
+        # q = m + 1 (a Fermat prime): H is all of F_q*, and the one term is
+        # prod_{z=1}^{(q-1)/2} cos(pi z / q)^k = 2^(-k(q-1)/2) exactly, which
+        # an in-order float sum of logarithms misses by a few ulps
+        log2_eps = math.log2(m) - 1.0 - k * m // 2
+    else:
+        g = root_of_unity(q - 1, q)
+        apow = power_table(pow(g, t, q), m // 2, q)  # alpha^i, i < n
+        reps = power_table(g, t, q)  # one y per coset of H in F_q*
+        log2_eps = _assemble_log2_eps(m, _orbit_logs(apow[:, None], reps[None, :], q, k))
     return EstimateReport(m, q, k, 1, log2_eps,
                           _bound_or_none(m, q, k), _beta_gauss(m, q),
                           (time.perf_counter() - t0) * 1e3)

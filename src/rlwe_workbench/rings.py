@@ -125,6 +125,16 @@ def _check_int64(ring: Ring) -> None:
                          "arithmetic; q = %d is too large" % (type(ring).__name__, ring.q))
 
 
+def _residues(x: np.ndarray, q: int) -> np.ndarray:
+    """x itself when every entry lies in (-q, q), else x % q.  Either way a
+    sum of deg products of its entries with residues in [0, q) has absolute
+    value at most deg * (q - 1)^2 < 2^63 (_check_int64), and a final % q
+    gives the same nonnegative residues."""
+    if x.size and (x.min() <= -q or x.max() >= q):
+        return x % q
+    return x
+
+
 def _mul_matrix(s: np.ndarray, ring: Ring) -> np.ndarray:
     """The matrix M of multiplication by s in R/qR (x*s = x @ M), entries in [0, q).
 
@@ -157,7 +167,7 @@ def ring_mul(x, y, ring: Ring) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != ring.deg or y.shape != (ring.deg,):
         raise ValueError("coefficient arrays have shapes %s and %s, ring degree is %d"
                          % (x.shape, y.shape, ring.deg))
-    return (x % ring.q) @ _mul_matrix(y, ring) % ring.q
+    return _residues(x, ring.q) @ _mul_matrix(y, ring) % ring.q
 
 
 @lru_cache(maxsize=32)
@@ -219,7 +229,7 @@ def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring):
         raise ValueError("expected a (count, %d) coefficient array" % ring.deg)
     q = ring.q
     n = ring.family_n if isinstance(ring, FamilyRing) else ring.n
-    rho = (coeffs % q).reshape(-1, n) @ power_table(ring.alpha(), n, q) % q
+    rho = _residues(coeffs, q).reshape(-1, n) @ power_table(ring.alpha(), n, q) % q
     if isinstance(ring, CycloRing):
         return rho
     return rho[0::2], rho[1::2]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, plumbing, and exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -451,6 +452,34 @@ def test_estimate_empirical(capsys, monkeypatch):
                        "--degree", "2", "--empirical", "--workers", "1")
     assert code == 2
     assert "--empirical" in err and "--degree 1" in err
+
+
+def test_estimate_fermat_prime_floor(capsys):
+    # q = m + 1: log2 eps = log2 m - 1 - k m / 2 = -249 exactly
+    code, out, _ = run(capsys, "estimate", "--m", "256", "--q", "257")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4] == "249"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["gen-samples", "--m", "64", "--q", "193", "--r", "8", "--count", "1930",
+      "--seed", "3"],
+     "16ec959b51f3a6a6db2ef67d9a70d9f24b8fb72c835da322149deebbe462a00b"),
+    (["estimate", "--m", "256", "--q", "3329", "--empirical"],
+     "41f58b76a2937bb363f9b87ffb553b2c530b0e27f54dadf8258ea0462b1bf461"),
+])
+def test_frozen_output_bytes(capsys, argv, digest):
+    # the 1-D sampler and the reduction map keep every draw and residue: the
+    # cyclotomic sample file and the empirical row (runtime_ms blanked)
+    # hash as they did before either was rewritten
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    if argv[0] == "estimate":
+        fields = lines[1].split(",")
+        fields[7] = ""
+        lines[1] = ",".join(fields)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
 
 def test_estimate_out_file(capsys, tmp_path):

@@ -80,6 +80,19 @@ def test_deg1_frozen_regression():
         assert rep.runtime_ms >= 0.0
 
 
+@pytest.mark.parametrize("m", [4, 16, 256, 65536])
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_fermat_prime_one_coset_is_exact(m, k):
+    # q = m + 1: one coset, prod_{z=1}^{(q-1)/2} cos(pi z / q) = +-2^(-(q-1)/2),
+    # so log2 eps = log2 m - 1 - k m / 2 is an integer and its floor is exact
+    exact = (m.bit_length() - 1) - 1 - k * m // 2
+    rep = epsilon(m, m + 1, k)
+    assert rep.log2_eps == exact
+    assert rep.neg_floor_log2_eps == -exact
+    if m <= 256:  # the full grid holds m/2 * m cosines
+        assert abs(rep.log2_eps - full_grid_log2_eps_deg1(m, m + 1, k)) < 1e-9
+
+
 def test_validation():
     with pytest.raises(ValueError, match="is not prime"):
         epsilon(8, 15, 2)

@@ -227,6 +227,33 @@ def test_reduce_batch_matches_scalar():
         assert vals[i] == sum(int(c) * alpha ** j for j, c in enumerate(cy[i])) % 17
 
 
+# the largest q = 1 (mod m, resp. p) with deg * (q - 1)^2 < 2^63
+C4_MAX = CycloRing(4, 2147483629)
+R3_MAX = FamilyRing(3, 2, 1518500173)
+
+
+@pytest.mark.parametrize("ring", [R3, C8, R3_MAX, C4_MAX], ids=str)
+def test_signed_inputs_match_the_reduced_first_reference(ring):
+    # entries inside (-q, q) skip the first % q; on the edges, beyond them and
+    # at +-2^40 the results must be the residues of the reduce-first route
+    q, deg = ring.q, ring.deg
+    n = deg // 2 if isinstance(ring, FamilyRing) else deg
+    rng = np.random.default_rng(6)
+    inside = rng.integers(-(q - 1), q, (40, deg))
+    inside[0], inside[1] = q - 1, -(q - 1)
+    edges = rng.choice([0, 1, -1, q - 1, -(q - 1), q, -q, 2 ** 40, -2 ** 40], (40, deg))
+    powers = np.array([pow(ring.alpha(), j, q) for j in range(n)], dtype=object)
+    y = rng.integers(0, q, deg)
+    for x in (inside, edges, np.vstack([inside, edges])):
+        want = (x % q).astype(object).reshape(-1, n) @ powers % q
+        got = reduce_mod_prime_batch(x, ring)
+        got = got if isinstance(ring, CycloRing) else np.stack(got, axis=1).ravel()
+        assert got.tolist() == want.tolist()
+        prod = ring_mul(x, y, ring)
+        assert np.array_equal(prod, ring_mul(x % q, y, ring))
+        assert np.array_equal(ring_mul(x[3], y, ring), prod[3])
+
+
 def test_reduce_validation():
     with pytest.raises(ValueError):
         reduce_mod_prime_batch(np.zeros((3, 5), dtype=np.int64), R3)

@@ -9,8 +9,8 @@ import scipy.stats
 from rlwe_workbench.rings import (CycloRing, FamilyRing, canonical_embed,
                                   _cyclotomic_block_basis, gram_matrix)
 from rlwe_workbench.sampling import (MAX_TAIL_CUT, BinomialSpec, GaussianSpec,
-                                     RngHandle, binomial_vk_pmf, compute_beta,
-                                     sample_binomial_vk, sample_dgauss_z,
+                                     RngHandle, _dgauss_table, binomial_vk_pmf,
+                                     compute_beta, sample_binomial_vk, sample_dgauss_z,
                                      sample_lattice_gauss_batch, tail_bound)
 
 
@@ -62,6 +62,67 @@ def test_dgauss_matches_exact_pmf():
     p = w / w.sum()
     res = scipy.stats.chisquare(counts, p * counts.sum())
     assert res.pvalue > 1e-4
+
+
+def _reference_table(r):
+    """(support, cdf) of D_{Z,r} cut at GaussianSpec(r).cut(), built here."""
+    cut = GaussianSpec(r).cut()
+    support = np.arange(-cut, cut + 1)
+    cdf = np.cumsum(np.exp(-(support.astype(float) ** 2) / (r * r)))
+    cdf /= cdf[-1]
+    return support, cdf
+
+
+def _reference_draws(r, u):
+    """The inverse-CDF answer: support[min(searchsorted(cdf, u, right), len - 1)]."""
+    support, cdf = _reference_table(r)
+    return support[np.minimum(np.searchsorted(cdf, u, side="right"), len(support) - 1)]
+
+
+DGAUSS_WIDTHS = [0.05, 0.2, 0.75, 2.0, math.sqrt(2 * math.pi), 30.0, 1000.0]
+
+
+@pytest.mark.parametrize("r", DGAUSS_WIDTHS)
+def test_dgauss_equals_inverse_cdf_reference(r):
+    spec = GaussianSpec(r)
+    assert np.array_equal(_dgauss_table(r, spec.cut())[1], _reference_table(r)[1])
+    for size in (0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5):
+        got = sample_dgauss_z(spec, RngHandle(size), size=size)
+        want = _reference_draws(r, RngHandle(size).gen.random(size))
+        assert got.dtype == np.int64 and got.shape == (size,)
+        assert np.array_equal(got, want), (r, size)
+    one = sample_dgauss_z(spec, RngHandle(8))
+    assert type(one) is int
+    assert one == int(_reference_draws(r, RngHandle(8).gen.random()))
+
+
+class _FixedUniforms:
+    """An rng stand-in whose gen.random(size) hands out the given u in order."""
+
+    def __init__(self, u):
+        self.gen = self
+        self._u, self._at = np.asarray(u, dtype=float), 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = self._u[self._at:self._at + n]
+        self._at += n
+        return float(out[0]) if size is None else out
+
+
+@pytest.mark.parametrize("r", DGAUSS_WIDTHS)
+def test_dgauss_guide_on_bucket_edges_and_cdf_values(r):
+    # u on every bucket edge b/B and every cdf value, their float neighbours,
+    # 0 and the largest double below 1: the guide must agree everywhere
+    _, cdf = _reference_table(r)
+    edges = np.arange(1 << 12) / (1 << 12)
+    pts = np.concatenate([edges, cdf, [0.0, 1.0 - 2.0 ** -53]])
+    u = np.concatenate([pts, np.nextafter(pts, 0.0), np.nextafter(pts, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = sample_dgauss_z(GaussianSpec(r), _FixedUniforms(u), size=len(u))
+    assert np.array_equal(got, _reference_draws(r, u))
+    for x in (0.0, 1.0 - 2.0 ** -53, float(cdf[cdf < 1.0][-1])):
+        assert sample_dgauss_z(GaussianSpec(r), _FixedUniforms([x])) == _reference_draws(r, x)
 
 
 def test_vk_pmf_frozen():
