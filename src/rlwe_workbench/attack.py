@@ -103,26 +103,35 @@ class AttackConfig:
 
 @dataclass
 class AttackOutcome:
+    """scores is (values, index): the score of guess i is values[index[i]]."""
     verdict: str
     candidate: Optional[Tuple[int, int]]
-    chi2_by_index: np.ndarray
+    scores: Tuple[np.ndarray, np.ndarray]
     samples_used: int
     guesses_evaluated: int
     elapsed_ms: float
     candidates: List[Tuple[int, int]] = field(default_factory=list)
     beta_chi: float = float("nan")
 
+    @property
+    def chi2_by_index(self) -> np.ndarray:
+        values, index = self.scores
+        return values[index]
+
     def report(self) -> str:
         """The six-key JSON report line, without its newline: the bytes of
         json.dumps on the report dict, with each score rounded to 6 places.
 
-        Each distinct score is rounded and encoded once, and the array is
-        joined from those tokens, gathered by index.  The two-bin scores
-        take only as many values as there are distinct bin-1 counts: about
-        20 among the 1.1M guesses at q = 1051.  The line is formatted in
-        one step, so the 10 MB array text is copied once."""
-        values, index = np.unique(self.chi2_by_index, return_inverse=True)
-        tokens = np.array([json.dumps(round(v, 6)) for v in values.tolist()], dtype=object)
+        Each value the index uses is rounded and encoded once, and the
+        array is joined from those tokens, gathered by index.  The two-bin
+        values are one per bin-1 count, so no float is sorted or compared:
+        about 20 of them are used among the 1.1M guesses at q = 1051.  The
+        line is formatted in one step, so the 10 MB array text is copied
+        once."""
+        values, index = self.scores
+        used = np.bincount(index, minlength=len(values)) > 0
+        tokens = np.empty(len(values), dtype=object)
+        tokens[used] = [json.dumps(round(v, 6)) for v in values[used].tolist()]
         return ('{"verdict": %s, "candidate": %s, "chi2_by_index": [%s], '
                 '"samples_used": %s, "elapsed_ms": %s, "guesses_evaluated": %s}'
                 % (json.dumps(self.verdict),
@@ -197,7 +206,8 @@ def coset_attack(samples: SampleSet,
     beta = config.beta_chi if config.beta_chi is not None else default_beta_coset(q)
     min_samples = config.min_samples if config.min_samples is not None else 5 * q
     if usable == 0 or usable < min_samples:
-        return AttackOutcome(VERDICT_INSUFFICIENT, None, np.zeros(q), usable, 0,
+        return AttackOutcome(VERDICT_INSUFFICIENT, None,
+                             np.unique(np.zeros(q), return_inverse=True), usable, 0,
                              (time.perf_counter() - t0) * 1e3, [], beta)
     counts, _ = _guess_counts(a1, a2, b2, q)
     exp = usable / q
@@ -207,7 +217,7 @@ def coset_attack(samples: SampleSet,
         row = counts[tau]
         candidates.extend((int(s0), int(tau)) for s0 in np.nonzero(row == row.max())[0])
     verdict, cand = _verdict(candidates)
-    return AttackOutcome(verdict, cand, chi2, usable, q,
+    return AttackOutcome(verdict, cand, np.unique(chi2, return_inverse=True), usable, q,
                          (time.perf_counter() - t0) * 1e3, candidates, beta)
 
 
@@ -269,9 +279,11 @@ def two_bin_attack(samples: SampleSet,
             else default_beta_two_bin(q, m))
     counts, fixed = _guess_counts(a1, a2, b2, q)
     counts += fixed[:, None]
-    # counts[v, u] scores the guess (u, v), reported at index u*q + v
-    chi2 = _two_bin_stat(counts.T, m, q).reshape(-1)
-    candidates = [(int(i) // q, int(i) % q) for i in np.nonzero(chi2 > beta)[0]]
+    # counts[v, u] scores the guess (u, v), reported at index u*q + v; the
+    # score is a function of that bin-1 count, so it is computed once per count
+    index = counts.T.reshape(-1)
+    values = _two_bin_stat(np.arange(index.max() + 1), m, q)
+    candidates = [(int(i) // q, int(i) % q) for i in np.nonzero((values > beta)[index])[0]]
     verdict, cand = _verdict(candidates)
-    return AttackOutcome(verdict, cand, chi2, m, q * q,
+    return AttackOutcome(verdict, cand, (values, index), m, q * q,
                          (time.perf_counter() - t0) * 1e3, candidates, beta)

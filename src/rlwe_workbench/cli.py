@@ -138,7 +138,7 @@ def cmd_estimate(args) -> int:
     if args.empirical and args.degree != 1:
         raise ValueError("--empirical reduces into F_q and needs --degree 1")
     if args.degree == 1:
-        report = epsilon(args.m, args.q, args.k)
+        report = epsilon(args.m, args.q, args.k, long_run=args.long_run)
     else:
         report = epsilon_deg2(args.m, args.q, args.k, long_run=args.long_run)
     header = "m,q,k,degree,neg_floor_log2_eps,log2_bound,beta,runtime_ms"
@@ -216,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     es.add_argument("--degree", type=int, choices=(1, 2), default=1,
                     help="residue degree of the reduction (default 1)")
     es.add_argument("--long-run", action="store_true",
-                    help="allow degree-2 instances with q^2 > 1.5e6")
+                    help="allow fields of more than 1.5e6 elements "
+                         "(q at degree 1, q^2 at degree 2)")
     es.add_argument("--empirical", action="store_true",
                     help="also draw reduced Gaussian errors and chi-square them")
     es.add_argument("--r0", type=float, default=math.sqrt(2 * math.pi),

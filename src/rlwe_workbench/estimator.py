@@ -37,7 +37,9 @@ term(y) = prod_{i=1}^{n} cos(pi * Tr(alpha^i y) / q)^k over y != 0 in
 F_{q^2}, with Tr(u + v*sqrt(w)) = 2u: the form (2c, 2dw) . (u, v) for
 alpha^i = c + d*sqrt(w).  Same H-orbit structure: one term per coset
 g^j H, j < t = (q^2-1)/m, for g a generator of F_{q^2}*.
-Instances with q^2 > 1.5e6 sit behind long_run=True.
+The orbit sums hold a q-entry table and (q^d - 1)/m coset representatives
+at degree d, so a field of more than 1.5e6 elements (q at degree 1, q^2 at
+degree 2) sits behind long_run=True.
 
 The Frobenius y -> y^q fixes the degree-2 term as well.  With q' the
 inverse of q mod m, alpha^i y^q = (alpha^(i q') y)^q and the trace is
@@ -71,7 +73,13 @@ from .ffield import (FieldCtx, fq2_generator, fq2_power_table, is_prime, power_t
 from .rings import CycloRing, reduce_mod_prime_batch
 from .sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
 
-_LONG_RUN_Q2 = 1_500_000
+_LONG_RUN_FIELD = 1_500_000  # field elements: q at degree 1, q^2 at degree 2
+
+
+def _check_field_size(name: str, size: int, long_run: bool) -> None:
+    if size > _LONG_RUN_FIELD and not long_run:
+        raise ValueError("%s = %d exceeds the desk-scale budget; pass long_run=True "
+                         "(--long-run on the command line)" % (name, size))
 
 
 def _is_pow2(m: int) -> bool:
@@ -159,7 +167,7 @@ def _bound_or_none(m: int, q: int, k: int) -> Optional[float]:
     return theoretical_bound(m, q, k) if q < m * m else None
 
 
-def epsilon(m: int, q: int, k: int) -> EstimateReport:
+def epsilon(m: int, q: int, k: int, long_run: bool = False) -> EstimateReport:
     """eps(m, q, k) maximized over all phi(m) primitive m-th roots mod q."""
     t0 = time.perf_counter()
     _check_mk(m, k)
@@ -167,6 +175,7 @@ def epsilon(m: int, q: int, k: int) -> EstimateReport:
         raise ValueError("q=%d is not prime" % q)
     if (q - 1) % m != 0:
         raise ValueError("no m-th roots of unity: q=%d is not 1 mod m=%d" % (q, m))
+    _check_field_size("q", q, long_run)
     t = (q - 1) // m
     if t == 1:
         # q = m + 1 (a Fermat prime): H is all of F_q*, and the one term is
@@ -217,9 +226,7 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
         raise ValueError(
             "degree-2 needs m | q^2-1 and m not dividing q-1; (m=%d, q=%d) fails%s"
             % (m, q, "" if near is None else " (nearest admissible q is %d)" % near))
-    if q * q > _LONG_RUN_Q2 and not long_run:
-        raise ValueError("q^2 = %d exceeds the desk-scale budget; pass long_run=True "
-                         "(--long-run on the command line)" % (q * q))
+    _check_field_size("q^2", q * q, long_run)
     ctx = FieldCtx(q)  # d_red = smallest nonresidue w
     t = (q * q - 1) // m
     g = fq2_generator(ctx)

@@ -31,10 +31,24 @@ bytes depend on that chunking, so it stays fixed.  Within a chunk the draw
 order is: all a-vectors, then all errors, and b = a*s + e is one ring_mul
 call over the chunk's a-vectors; a decoy chunk draws all a, then all b.
 The secret uses its own fork index 2^63, outside the chunk range.
+
+Reading
+-------
+load reads the records 1024 lines at a time.  A block whose every line is
+laid out exactly as dump writes it -- once its digits are deleted, the
+bytes are the record skeleton '{"a": [, , ..], "b": [, , ..]}\n' repeated,
+and each coefficient slot holds one run of digits without a leading zero
+-- is parsed in one vectorised pass.  Such a line is JSON, and every slot
+an unsigned decimal integer, so json.loads would read the same values;
+the range check is the one the per-line path makes.  Any other block (other
+spacing, blank lines, booleans, a fault of any kind) goes line by line
+through json.loads, which keeps every error message and line number: a
+fault is only ever reported by that path.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from hashlib import sha256
@@ -178,6 +192,8 @@ _HEADER_KEYS = ["schema_version", "ring_kind", "p", "d", "m", "q",
                 "error_kind", "width_or_k", "seed", "count", "secret_hash"]
 _INT_KEYS = ["schema_version", "q", "seed", "count"]
 _RING_INT_KEYS = ["p", "d", "m"]  # null where the ring kind has no such parameter
+_RECORD = '{"a": [%s], "b": [%s]}\n'  # one record line, as dump writes it
+_SEP = ", "
 
 
 def dump(sample_set: SampleSet, fh) -> None:
@@ -193,8 +209,7 @@ def dump(sample_set: SampleSet, fh) -> None:
     enc = [str(i) for i in range(q)].__getitem__ if q <= 2 * a.size else str
     fh.write(json.dumps({k: sample_set.header[k] for k in _HEADER_KEYS}) + "\n")
     for ra, rb in zip(a, b):  # one row at a time: no list of the whole file
-        fh.write('{"a": [%s], "b": [%s]}\n'
-                 % (", ".join(map(enc, ra.tolist())), ", ".join(map(enc, rb.tolist()))))
+        fh.write(_RECORD % (_SEP.join(map(enc, ra.tolist())), _SEP.join(map(enc, rb.tolist()))))
 
 
 def save(sample_set: SampleSet, path) -> None:
@@ -223,7 +238,55 @@ def _coefficients(vecs, linenos, first: int, q: int, deg: int) -> np.ndarray:
     raise AssertionError("unreachable: the one-pass check rejected valid vectors")
 
 
+def _block_records(block, q: int, deg: int):
+    """The records of a block of lines as one (n, 2, deg) int64 array, or
+    None unless every line is laid out exactly as dump writes it: the
+    record skeleton with one decimal in each coefficient slot, every one
+    without a leading zero and below q."""
+    body = "".join(block).encode()  # any non-ASCII byte fails the skeleton check
+    n = len(block)
+    head, mid, tail = _RECORD.split("%s")
+    blank = _SEP * (deg - 1)  # a vector without its digits
+    if (len(body) >= 2 ** 31  # byte positions below are int32
+            or body.translate(None, b"0123456789")
+            != (head + blank + mid + blank + tail).encode() * n):
+        return None
+    # the runs of digits: the body starts with "{" and ends with "\n", so
+    # the edges alternate run start, run end
+    dv = np.frombuffer(body, dtype=np.uint8) - 48  # uint8: bytes below "0" wrap past 9
+    edges = np.flatnonzero(np.diff(dv < 10)).astype(np.int32)
+    edges += 1
+    starts, ends = edges[0::2], edges[1::2]
+    # one run per slot and none elsewhere: the first run follows the
+    # head, and between runs lie exactly the skeleton's bytes between slots
+    gaps = np.array([len(_SEP)] * (deg - 1) + [len(mid)] + [len(_SEP)] * (deg - 1)
+                    + [len(tail + head)], dtype=np.int32)
+    if (starts.size != 2 * deg * n or starts[0] != len(head)
+            or not np.array_equal(starts[1:] - ends[:-1], np.tile(gaps, n)[:-1])):
+        return None
+    # JSON numbers have no leading zero; with at most as many digits as
+    # q - 1, each value fits int64
+    width = ends - starts
+    if width.max() > len(str(q - 1)) or np.any((dv[starts] == 0) & (width > 1)):
+        return None
+    vals = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(width.max()), 0, -1):  # Horner over the k-th digit from the right
+        digit = dv[ends - k]
+        digit[width < k] = 0  # left of a shorter run: a leading 0 that adds nothing
+        vals *= 10
+        vals += digit
+    if vals.max() >= q:
+        return None
+    return vals.reshape(n, 2, deg)
+
+
 def load(path) -> SampleSet:
+    """The sample set in the file at path; any fault raises SampleFileError
+    at its 1-based line, the first fault in file order.
+
+    Each block of 1024 lines that _block_records accepts, and that holds no
+    more records than the header's count still allows, is parsed in one
+    pass; every other block is read one json.loads per line."""
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
@@ -265,31 +328,42 @@ def load(path) -> SampleSet:
             done += len(vecs) // 2
             del vecs[:], linenos[:]
 
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+        for start in itertools.count(2, _CHUNK):  # the line number of each block's first line
+            block = list(itertools.islice(fh, _CHUNK))
+            if not block:
+                break
+            recs = (_block_records(block, q, deg)
+                    if done + len(linenos) + len(block) <= count else None)
+            if recs is not None:
+                flush()  # the records the per-line path holds come first in the file
+                chunks.append((recs[:, 0], recs[:, 1]))
+                done += len(block)
                 continue
-            got = done + len(linenos)
-            if got >= count:
-                flush()
-                raise SampleFileError(lineno, "more records than header count %d" % count)
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                flush()
-                raise SampleFileError(lineno, "bad record JSON (%s)" % e) from e
-            if not isinstance(rec, dict):
-                flush()
-                raise SampleFileError(lineno, "record %d is not a JSON object" % got)
-            linenos.append(lineno)
-            for key in ("a", "b"):
-                vec = rec.get(key)
-                if not isinstance(vec, list) or len(vec) != deg:
+            for lineno, line in enumerate(block, start=start):
+                if not line.strip():
+                    continue
+                got = done + len(linenos)
+                if got >= count:
                     flush()
-                    raise SampleFileError(
-                        lineno, "record %d: %r is not a length-%d vector" % (got, key, deg))
-                vecs.append(vec)
-            if len(linenos) == _CHUNK:
-                flush()
+                    raise SampleFileError(lineno, "more records than header count %d" % count)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    flush()
+                    raise SampleFileError(lineno, "bad record JSON (%s)" % e) from e
+                if not isinstance(rec, dict):
+                    flush()
+                    raise SampleFileError(lineno, "record %d is not a JSON object" % got)
+                linenos.append(lineno)
+                for key in ("a", "b"):
+                    vec = rec.get(key)
+                    if not isinstance(vec, list) or len(vec) != deg:
+                        flush()
+                        raise SampleFileError(
+                            lineno, "record %d: %r is not a length-%d vector" % (got, key, deg))
+                    vecs.append(vec)
+                if len(linenos) == _CHUNK:
+                    flush()
         flush()
         if done != count:
             raise SampleFileError(done + 1, "expected %d records, found %d" % (count, done))

@@ -419,6 +419,15 @@ def test_estimate_deg2_gates(capsys):
     assert out.splitlines()[1].split(",")[4] == "146"
 
 
+def test_estimate_deg1_field_size_gate(capsys):
+    # a q-entry table and (q - 1)/m coset representatives: refused at once
+    # above 1.5e6 elements without --long-run, as degree 2 is above q^2 = 1.5e6
+    code, out, err = run(capsys, "estimate", "--m", "2", "--q", "1000000007")
+    assert code == 2 and out == ""
+    assert err == ("error: q = 1000000007 exceeds the desk-scale budget; pass "
+                   "long_run=True (--long-run on the command line)\n")
+
+
 @pytest.mark.parametrize("argv, floor", [
     (["--m", "512", "--q", "10753", "--k", "6"], "1273"),
     (["--m", "512", "--q", "5119", "--degree", "2", "--long-run", "--k", "8"], "1211"),

@@ -244,6 +244,15 @@ def test_deg2_long_run_gate():
     assert epsilon_deg2(128, 1151, 2).neg_floor_log2_eps == 49
 
 
+def test_deg1_long_run_gate():
+    # one field-size budget for both degrees: q at degree 1
+    assert epsilon(1024, 1492993, 2).degree == 1  # just below 1.5e6
+    with pytest.raises(ValueError, match="q = 1502209 exceeds the desk-scale budget"):
+        epsilon(1024, 1502209, 2)
+    rep = epsilon(1024, 1502209, 2, long_run=True)
+    assert math.isfinite(rep.log2_eps) and rep.neg_floor_log2_eps > 0
+
+
 def test_deg2_frozen_regression():
     r1 = epsilon_deg2(64, 383, 2)
     assert abs(r1.log2_eps - (-14.464158355653684)) < 1e-4

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from rlwe_workbench import oracle
 from rlwe_workbench.oracle import (RlweInstance, SampleFileError, SampleSet,
                                    _HEADER_KEYS, draw_rlwe, draw_uniform, dump,
                                    load, save, secret_commitment)
@@ -370,3 +371,150 @@ def test_count_validation():
             draw_rlwe(inst, bad)
         with pytest.raises(ValueError):
             draw_uniform(inst, bad)
+
+
+# ------------------------------------------------ the block parse and the
+# per-line parse: a block laid out exactly as dump writes it is parsed in
+# one pass, everything else line by line; both must read the same file alike
+
+BIG = FamilyRing(7, 4871, 1051)  # deg 12, coefficients of 1 to 4 digits
+
+
+def _file(tmp_path, ring, count, name="f.jsonl"):
+    inst = RlweInstance.generate(ring, None, seed=4)
+    path = tmp_path / name
+    save(draw_uniform(inst, count), path)
+    return path
+
+
+def _json_reference(path):
+    """a and b read with one json.loads per record line."""
+    recs = [json.loads(line) for line in path.read_text().splitlines()[1:] if line.strip()]
+    return (np.array([r["a"] for r in recs], dtype=np.int64),
+            np.array([r["b"] for r in recs], dtype=np.int64))
+
+
+def _line_by_line(monkeypatch, path):
+    """load with the block parse refusing every block."""
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_block_records", lambda block, q, deg: None)
+        return _outcome(path)
+
+
+def _outcome(path):
+    try:
+        ss = load(path)
+    except SampleFileError as e:
+        return ("error", str(e), e.line)
+    return ("ok", ss.a.tolist(), ss.b.tolist())
+
+
+@pytest.mark.parametrize("ring", [BIG, CycloRing(64, 193)])
+@pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049])
+def test_load_matches_json_loads_reference(tmp_path, ring, count):
+    path = _file(tmp_path, ring, count)
+    a, b = _json_reference(path)
+    ss = load(path)
+    assert np.array_equal(ss.a, a) and np.array_equal(ss.b, b)
+    assert ss.a.dtype == ss.b.dtype == np.int64
+    assert ss.a.shape == (count, ring.deg)
+
+
+def _first_a(line, new):
+    """The line with its first "a" coefficient's text replaced by new."""
+    head, rest = line.split("[", 1)
+    return head + "[" + new + rest[rest.index(","):]
+
+
+def _misplace(line):
+    # "[x0, x1, x2" -> "[, x0,x1 x2": the same bytes once digits are
+    # deleted and the same number of digit runs, but not JSON
+    head, rest = line.split("[", 1)
+    x0, x1, rest = rest.split(", ", 2)
+    return head + "[, " + x0 + "," + x1 + " " + rest
+
+
+RECORD_PERTURBATIONS = {
+    "spacing": lambda line: line.replace(", ", ","),
+    "leading zero": lambda line: _first_a(line, "05"),
+    "zero padded zero": lambda line: _first_a(line, "00"),
+    "q": lambda line: _first_a(line, "1051"),
+    "negative": lambda line: _first_a(line, "-7"),
+    "true": lambda line: _first_a(line, "true"),
+    "20 digits": lambda line: _first_a(line, "12345678901234567890"),
+    "19 digits": lambda line: _first_a(line, "9999999999999999999"),
+    "crlf": lambda line: line[:-1] + "\r\n",
+    "blank line before": lambda line: "\n" + line,
+    "non-ascii digit": lambda line: _first_a(line, "1٥"),
+    "renamed key": lambda line: line.replace('"b"', '"c"'),
+    "extra coefficient": lambda line: line.replace("]", ", 1]", 1),
+    "misplaced digits": _misplace,
+}
+
+
+@pytest.mark.parametrize("where", [5, 1500])  # in the first block, in the second
+@pytest.mark.parametrize("kind", sorted(RECORD_PERTURBATIONS))
+def test_load_perturbed_record_as_line_by_line(tmp_path, monkeypatch, kind, where):
+    lines = _file(tmp_path, BIG, 2100).read_text().splitlines(keepends=True)
+    lines[1 + where] = RECORD_PERTURBATIONS[kind](lines[1 + where])
+    path = tmp_path / "perturbed.jsonl"
+    path.write_bytes("".join(lines).encode())
+    want = _line_by_line(monkeypatch, path)
+    assert _outcome(path) == want
+    if want[0] == "ok":
+        a, b = _json_reference(path)
+        assert want[1:] == (a.tolist(), b.tolist())
+
+
+def test_load_missing_final_newline_as_line_by_line(tmp_path, monkeypatch):
+    path = _file(tmp_path, BIG, 2100)
+    path.write_text(path.read_text()[:-1])
+    assert _outcome(path) == _line_by_line(monkeypatch, path)
+    assert _outcome(path)[0] == "ok"
+
+
+@pytest.mark.parametrize("records", [1, 1024, 1025, 2049])
+def test_load_truncated_or_extra_record_at_block_edges(tmp_path, monkeypatch, records):
+    lines = _file(tmp_path, BIG, 2100).read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_text("".join(lines[:1 + records]))
+    got = _outcome(truncated)
+    assert got == _line_by_line(monkeypatch, truncated)
+    assert got == ("error", "line %d: expected 2100 records, found %d" % (records + 1, records),
+                   records + 1)
+    header["count"] = records
+    extra = tmp_path / "extra.jsonl"
+    extra.write_text(json.dumps(header) + "\n" + "".join(lines[1:2 + records]))
+    got = _outcome(extra)
+    assert got == _line_by_line(monkeypatch, extra)
+    assert got == ("error", "line %d: more records than header count %d"
+                   % (records + 2, records), records + 2)
+
+
+@pytest.mark.parametrize("where", [5, 1500])
+def test_load_refuses_leading_zero_and_overflow_at_their_line(tmp_path, where):
+    lines = _file(tmp_path, BIG, 2100).read_text().splitlines(keepends=True)
+    zero = list(lines)
+    zero[1 + where] = _first_a(zero[1 + where], "05")
+    path = _write(tmp_path, [line.rstrip("\n") for line in zero])
+    with pytest.raises(SampleFileError, match=r"^line %d: bad record JSON \(Expecting ',' "
+                       r"delimiter: line 1 column 9 \(char 8\)\)$" % (where + 2)) as ei:
+        load(path)
+    assert ei.value.line == where + 2
+    big = list(lines)
+    big[1 + where] = _first_a(big[1 + where], "12345678901234567890")
+    path = _write(tmp_path, [line.rstrip("\n") for line in big])
+    with pytest.raises(SampleFileError, match=r"^line %d: record %d: 'a' has coefficients "
+                       r"outside \[0, 1051\)$" % (where + 2, where)) as ei:
+        load(path)
+    assert ei.value.line == where + 2
+
+
+def test_canonical_file_makes_no_per_record_json_call(tmp_path, monkeypatch):
+    path = _file(tmp_path, BIG, 2049)
+    calls = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(s) or real(s, **kw))
+    load(path)
+    assert len(calls) == 1  # the header
