@@ -319,6 +319,9 @@ def gauss_sum_check(m: int, q: int, alpha: int) -> float:
 
 # ------------------------------------------------- empirical uniformity runs
 
+_EMPIRICAL_DRAWS = 1 << 16  # coefficients drawn and reduced at a time
+
+
 @dataclass
 class EmpiricalResult:
     m: int
@@ -334,14 +337,22 @@ def empirical_uniformity(m: int, q: int, r0: float, count: int, seed: int,
                          confidence: float = 0.99) -> EmpiricalResult:
     """Seeded experiment: draw `count` ring errors of per-coefficient width
     r0 (i.e. r = r0 * sqrt(n) before discriminant normalization), reduce
-    through rho into F_q, and chi-square the histogram against uniform."""
+    through rho into F_q, and chi-square the histogram against uniform.
+
+    The errors are drawn and reduced _EMPIRICAL_DRAWS // n records at a
+    time, all from one RngHandle(seed): the 1-D sampler spends one 64-bit
+    output per coefficient, so the draws are those of one full-size call,
+    without its (count, n) array."""
     if count < 1:
         raise ValueError("count must be >= 1")
     ring = CycloRing(m, q)
     spec = GaussianSpec(r0 * math.sqrt(ring.n))
-    coeffs, _ = sample_lattice_gauss_batch(ring, spec, RngHandle(seed), count)
-    vals = reduce_mod_prime_batch(coeffs, ring)
-    counts = np.bincount(vals, minlength=q)
+    rng = RngHandle(seed)
+    per = max(1, _EMPIRICAL_DRAWS // ring.n)
+    counts = np.zeros(q, dtype=np.int64)
+    for start in range(0, count, per):
+        coeffs, _ = sample_lattice_gauss_batch(ring, spec, rng, min(per, count - start))
+        counts += np.bincount(reduce_mod_prime_batch(coeffs, ring), minlength=q)
     exp = count / q
     chi2 = float(((counts - exp) ** 2).sum() / exp)
     crit = critical_value(q - 1, confidence)

@@ -32,6 +32,21 @@ order is: all a-vectors, then all errors, and b = a*s + e is one ring_mul
 call over the chunk's a-vectors; a decoy chunk draws all a, then all b.
 The secret uses its own fork index 2^63, outside the chunk range.
 
+Writing
+-------
+dump writes the records as the join of one token per coefficient slot:
+the coefficient's digits followed by the skeleton bytes up to the next
+slot -- ', ' inside a vector, '], "b": [' after the last slot of a, and
+']}\n{"a": [' after the last slot of b -- after one leading '{"a": [',
+with the last record's trailing '{"a": [' cut off.  The bytes are those
+of json.dumps on each record.  The records are joined a piece at a time:
+whole records, at most 8192 coefficients (or one record, if it is longer),
+so every temporary stays below glibc's default 128 KiB mmap threshold.
+The tokens come from a table of every residue when q is at most twice the
+coefficient count, else from a table of the piece's distinct values; a
+slot's token is at its value's place in the table plus the table's length
+times the slot kind (0, 1 or 2).
+
 Reading
 -------
 load reads the records 1024 lines at a time.  A block whose every line is
@@ -194,22 +209,45 @@ _INT_KEYS = ["schema_version", "q", "seed", "count"]
 _RING_INT_KEYS = ["p", "d", "m"]  # null where the ring kind has no such parameter
 _RECORD = '{"a": [%s], "b": [%s]}\n'  # one record line, as dump writes it
 _SEP = ", "
+_PIECE = 8192  # coefficients per join in dump
+
+
+def _tokens(values) -> np.ndarray:
+    """For k values, the 3k tokens str(v) + what follows its slot: inside
+    a vector (index i), last of a (k + i), last of b (2k + i)."""
+    head, mid, tail = _RECORD.split("%s")
+    text = [str(v) for v in values]
+    return np.array([t + after for after in (_SEP, mid, tail + head) for t in text],
+                    dtype=object)
 
 
 def dump(sample_set: SampleSet, fh) -> None:
-    """Write the header line, then one record line per (a, b) pair.
-
-    Each residue is formatted once, from a table of str(0) .. str(q - 1),
-    when the table is no larger than the records; a coefficient outside
-    [0, q) is refused, since `load` would refuse the file."""
+    """Write the header line, then one record line per (a, b) pair, as
+    joined tokens (see Writing above).  A coefficient outside [0, q) is
+    refused, since `load` would refuse the file."""
     a, b, q = sample_set.a, sample_set.b, sample_set.header["q"]
     if a.size and (min(int(a.min()), int(b.min())) < 0
                    or max(int(a.max()), int(b.max())) >= q):
         raise ValueError("record coefficients must lie in [0, %d)" % q)
-    enc = [str(i) for i in range(q)].__getitem__ if q <= 2 * a.size else str
     fh.write(json.dumps({k: sample_set.header[k] for k in _HEADER_KEYS}) + "\n")
-    for ra, rb in zip(a, b):  # one row at a time: no list of the whole file
-        fh.write(_RECORD % (_SEP.join(map(enc, ra.tolist())), _SEP.join(map(enc, rb.tolist()))))
+    count, deg = a.shape
+    if not count:
+        return
+    head = _RECORD.split("%s")[0]
+    slot = np.zeros(2 * deg, dtype=np.int64)  # which token follows each slot of a record
+    slot[deg - 1], slot[-1] = 1, 2
+    table = _tokens(range(q)) if q <= 2 * a.size else None
+    rows = max(1, _PIECE // (2 * deg))
+    fh.write(head)
+    for start in range(0, count, rows):
+        piece = np.concatenate([a[start:start + rows], b[start:start + rows]], axis=1)
+        if table is None:
+            values, codes = np.unique(piece, return_inverse=True)
+            tokens, idx = _tokens(values.tolist()), codes.reshape(piece.shape)
+        else:
+            tokens, idx = table, piece
+        text = "".join(tokens[idx + len(tokens) // 3 * slot].ravel().tolist())
+        fh.write(text if start + rows < count else text[:-len(head)])
 
 
 def save(sample_set: SampleSet, path) -> None:

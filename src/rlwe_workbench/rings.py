@@ -161,13 +161,21 @@ def _mul_matrix(s: np.ndarray, ring: Ring) -> np.ndarray:
 def ring_mul(x, y, ring: Ring) -> np.ndarray:
     """Product x*y in R/qR of coefficient arrays: x is one (deg,) vector or
     a (count, deg) array of rows, each multiplied by the (deg,) vector y;
-    the result has x's shape."""
+    the result has x's shape.
+
+    When deg * (q - 1)^2 < 2^53 the product is taken in float64, where
+    numpy uses BLAS: every partial sum, in whatever order BLAS adds, is an
+    integer of absolute value at most deg * (q - 1)^2, so float64 holds it
+    exactly.  Other rings keep the int64 product (_check_int64)."""
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim not in (1, 2) or x.shape[-1] != ring.deg or y.shape != (ring.deg,):
         raise ValueError("coefficient arrays have shapes %s and %s, ring degree is %d"
                          % (x.shape, y.shape, ring.deg))
-    return _residues(x, ring.q) @ _mul_matrix(y, ring) % ring.q
+    x, M, q = _residues(x, ring.q), _mul_matrix(y, ring), ring.q
+    if ring.deg * (q - 1) ** 2 < 1 << 53:
+        return (x.astype(float) @ M.astype(float)).astype(np.int64) % q
+    return x @ M % q
 
 
 @lru_cache(maxsize=32)

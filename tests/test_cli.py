@@ -476,11 +476,17 @@ def test_estimate_fermat_prime_floor(capsys):
      "16ec959b51f3a6a6db2ef67d9a70d9f24b8fb72c835da322149deebbe462a00b"),
     (["estimate", "--m", "256", "--q", "3329", "--empirical"],
      "41f58b76a2937bb363f9b87ffb553b2c530b0e27f54dadf8258ea0462b1bf461"),
+    (["gen-samples", "--p", "43", "--d", "4871", "--q", "173", "--r", "200",
+      "--count", "1730", "--seed", "11"],
+     "8f71f677728c8b309a0a9b0b2afd306a71d512c1f153c3cd43603adb4da02719"),
+    (["gen-samples", "--p", "43", "--d", "4871", "--q", "173", "--r", "200",
+      "--count", "1730", "--seed", "100", "--uniform"],
+     "4983395c47fef494dc4f5d390e60f7168fe5395d51c4b22a8b3e04515f9b94a3"),
 ])
 def test_frozen_output_bytes(capsys, argv, digest):
-    # the 1-D sampler and the reduction map keep every draw and residue: the
-    # cyclotomic sample file and the empirical row (runtime_ms blanked)
-    # hash as they did before either was rewritten
+    # the 1-D sampler, the reduction map, the ring product and dump keep
+    # every draw, residue and byte: the sample files and the empirical row
+    # (runtime_ms blanked) hash as they did before each was rewritten
     code, out, _ = run(capsys, *argv)
     assert code == 0
     lines = out.splitlines(keepends=True)

@@ -118,22 +118,41 @@ def test_round_trip(tmp_path):
     assert back.ring == R
 
 
-@pytest.mark.parametrize("ring, error, uniform", [
+DUMP_CASES = [
     (FamilyRing(43, 4871, 173), GaussianSpec(200.0), False),
     (CycloRing(16, 17), BinomialSpec(4), False),
     (FamilyRing(43, 4871, 173), GaussianSpec(200.0), True),
     (CycloRing(4, 2 ** 20 + 1), BinomialSpec(4), False),  # q past the table size
-])
-def test_dump_bytes_match_json_dumps(ring, error, uniform):
+]
+
+
+def _check_dump(ring, error, uniform, count):
     """dump against the header line plus json.dumps of each record."""
     inst = RlweInstance.generate(ring, error, seed=3)
-    ss = (draw_uniform if uniform else draw_rlwe)(inst, 300)
+    ss = (draw_uniform if uniform else draw_rlwe)(inst, count)
     buf = io.StringIO()
     dump(ss, buf)
     want = [json.dumps({k: ss.header[k] for k in _HEADER_KEYS})]
     want += [json.dumps({"a": ss.a[i].tolist(), "b": ss.b[i].tolist()})
              for i in range(len(ss))]
     assert buf.getvalue() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("ring, error, uniform", DUMP_CASES)
+def test_dump_bytes_match_json_dumps(ring, error, uniform):
+    _check_dump(ring, error, uniform, 300)
+
+
+@pytest.mark.parametrize("edge", ["one", "piece-1", "piece", "piece+1", "1025"])
+@pytest.mark.parametrize("ring, error, uniform", DUMP_CASES)
+def test_dump_bytes_match_json_dumps_at_piece_edges(ring, error, uniform, edge):
+    # dump joins whole records, up to _PIECE coefficients at a time; with
+    # one record the p = 43 file has fewer slots than q, so its tokens come
+    # from the distinct values, as they always do at q = 2^20 + 1
+    piece = oracle._PIECE // (2 * ring.deg)
+    count = {"one": 1, "piece-1": piece - 1, "piece": piece, "piece+1": piece + 1,
+             "1025": 1025}[edge]
+    _check_dump(ring, error, uniform, count)
 
 
 def test_dump_refuses_coefficients_outside_zq():

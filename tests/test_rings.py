@@ -254,6 +254,53 @@ def test_signed_inputs_match_the_reduced_first_reference(ring):
         assert np.array_equal(ring_mul(x[3], y, ring), prod[3])
 
 
+def _exact_mul(x, y, ring):
+    """x*y in R/qR in Python integers, straight from the ring's relations:
+    x^n = -1 (CycloRing); zeta^(p-1) = -(1 + .. + zeta^(p-2)) and
+    sqrt(d)^2 = d (FamilyRing, blocks (x1, x2) = x1 + x2 sqrt(d))."""
+    x, y, q = [int(c) for c in x], [int(c) for c in y], ring.q
+    if isinstance(ring, CycloRing):
+        out = [0] * ring.n
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                k = i + j
+                out[k % ring.n] += xi * yj if k < ring.n else -xi * yj
+        return [c % q for c in out]
+    p, n = ring.p, ring.family_n
+
+    def cyc(u, v):  # in Z[zeta_p]
+        out = [0] * p
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                out[(i + j) % p] += ui * vj
+        return [c - out[p - 1] for c in out[:n]]
+    x1, x2, y1, y2 = x[:n], x[n:], y[:n], y[n:]
+    e1 = [a + ring.d * b for a, b in zip(cyc(x1, y1), cyc(x2, y2))]
+    e2 = [a + b for a, b in zip(cyc(x1, y2), cyc(x2, y1))]
+    return [c % q for c in e1 + e2]
+
+
+# the largest q = 1 (mod m, resp. p) with deg * (q - 1)^2 < 2^53, where
+# ring_mul takes the float64 product, and the next, where it takes int64
+C4_BELOW, C4_ABOVE = CycloRing(4, 67108861), CycloRing(4, 67108865)
+R3_BELOW, R3_ABOVE = FamilyRing(3, 2, 47453131), FamilyRing(3, 2, 47453134)
+
+
+@pytest.mark.parametrize("ring", [C4_BELOW, C4_ABOVE, R3_BELOW, R3_ABOVE, C4_MAX, R3_MAX],
+                         ids=str)
+def test_ring_mul_matches_python_integers(ring):
+    q, deg = ring.q, ring.deg
+    below = deg * (q - 1) ** 2 < 2 ** 53
+    assert below == (ring in (C4_BELOW, R3_BELOW))
+    rng = np.random.default_rng(9)
+    x = rng.integers(-(q - 1), q, (60, deg))  # signed, inside (-q, q)
+    x[:20] = rng.choice([q - 1, q - 2, -(q - 1), -(q - 2)], (20, deg))
+    for y in (rng.integers(0, q, deg), np.full(deg, q - 1), np.full(deg, q - 2)):
+        got = ring_mul(x, y, ring)
+        assert got.tolist() == [_exact_mul(row, y, ring) for row in x]
+        assert ring_mul(x[5], y, ring).tolist() == got[5].tolist()
+
+
 def test_reduce_validation():
     with pytest.raises(ValueError):
         reduce_mod_prime_batch(np.zeros((3, 5), dtype=np.int64), R3)
