@@ -15,8 +15,11 @@ once by `_guess_counts`:
     counts[t, u]  records with a2 != 0 supporting the guess (u, t);
     fixed[t]      records with a2 = 0 and b2 = t*a1, which support every u.
 
-With x = b2/a2 and g = a1/a2, row t of counts is the histogram of x - t*g,
-so the matrix costs q bincounts, one per row.
+With x = b2/a2 and g = a1/a2, row t of counts is the histogram of x - t*g
+mod q.  The rows are stepped rather than reduced: row t + 1's residues are
+row t's minus g, wrapped once back into [0, q), so the matrix costs q
+bincounts plus one subtract and one wrap per record and row, and no
+integer division.
 
 two_bin_attack
     Scores all q^2 cells, counts[v, u] + fixed[v] being the number of
@@ -177,11 +180,15 @@ def _guess_counts(a1, a2, b2, q: int):
     inv = _inverse_table(q)
     keep = a2 != 0
     ainv = inv[a2[keep]]
-    x = b2[keep] * ainv % q
+    y = b2[keep] * ainv % q  # row t's residues x - t*g, starting at t = 0
     g = a1[keep] * ainv % q
     counts = np.empty((q, q), dtype=np.int64)
     for t in range(q):
-        counts[t] = np.bincount((x - t * g) % q, minlength=q)
+        counts[t] = np.bincount(y, minlength=q)
+        # step to row t + 1: y - g lies in (-q, q), and q & (y >> 63) adds
+        # q exactly where it went negative
+        y -= g
+        y += q & (y >> 63)
     a1z, b2z = a1[~keep], b2[~keep]
     fixed = np.bincount(b2z[a1z != 0] * inv[a1z[a1z != 0]] % q, minlength=q)
     fixed += int(np.count_nonzero((a1z == 0) & (b2z == 0)))

@@ -59,6 +59,14 @@ the range check is the one the per-line path makes.  Any other block (other
 spacing, blank lines, booleans, a fault of any kind) goes line by line
 through json.loads, which keeps every error message and line number: a
 fault is only ever reported by that path.
+
+The pass finds the digit runs as the edges of the bytes' digit mask,
+checks the gaps between runs against the skeleton, and decodes every run
+at once by Horner's rule: one np.take on intp positions gathers the k-th
+digit from the right of each run, and a multiply by width >= k zeroes it
+where the run is shorter.  To bound a block's memory, the body is dropped
+once copied into the digit array, and one array holds the gaps, then the
+widths, then the digit positions.
 """
 
 from __future__ import annotations
@@ -285,34 +293,46 @@ def _block_records(block, q: int, deg: int):
     n = len(block)
     head, mid, tail = _RECORD.split("%s")
     blank = _SEP * (deg - 1)  # a vector without its digits
-    if (len(body) >= 2 ** 31  # byte positions below are int32
-            or body.translate(None, b"0123456789")
-            != (head + blank + mid + blank + tail).encode() * n):
+    if body.translate(None, b"0123456789") != (head + blank + mid + blank + tail).encode() * n:
         return None
     # the runs of digits: the body starts with "{" and ends with "\n", so
     # the edges alternate run start, run end
     dv = np.frombuffer(body, dtype=np.uint8) - 48  # uint8: bytes below "0" wrap past 9
-    edges = np.flatnonzero(np.diff(dv < 10)).astype(np.int32)
+    del body  # dv is a copy
+    edges = np.flatnonzero(np.diff(dv < 10))  # intp, which np.take uses as is
     edges += 1
     starts, ends = edges[0::2], edges[1::2]
     # one run per slot and none elsewhere: the first run follows the
     # head, and between runs lie exactly the skeleton's bytes between slots
+    if starts.size != 2 * deg * n or starts[0] != len(head):
+        return None
     gaps = np.array([len(_SEP)] * (deg - 1) + [len(mid)] + [len(_SEP)] * (deg - 1)
-                    + [len(tail + head)], dtype=np.int32)
-    if (starts.size != 2 * deg * n or starts[0] != len(head)
-            or not np.array_equal(starts[1:] - ends[:-1], np.tile(gaps, n)[:-1])):
+                    + [len(tail + head)], dtype=np.intp)
+    # step holds each run's gap to the next run (the last run's is set to
+    # the skeleton's), then its width, then the position of the digit
+    # being read: one array, reused
+    step = np.empty(starts.size, dtype=np.intp)
+    np.subtract(starts[1:], ends[:-1], out=step[:-1])
+    step[-1] = gaps[-1]
+    if not (step.reshape(n, -1) == gaps).all():
         return None
     # JSON numbers have no leading zero; with at most as many digits as
     # q - 1, each value fits int64
-    width = ends - starts
-    if width.max() > len(str(q - 1)) or np.any((dv[starts] == 0) & (width > 1)):
+    width = np.subtract(ends, starts, out=step)
+    top = int(width.max())
+    if top > len(str(q - 1)) or np.any((dv[starts] == 0) & (width > 1)):
         return None
-    vals = np.zeros(starts.size, dtype=np.int64)
-    for k in range(int(width.max()), 0, -1):  # Horner over the k-th digit from the right
-        digit = dv[ends - k]
-        digit[width < k] = 0  # left of a shorter run: a leading 0 that adds nothing
+    width = width.astype(np.uint8)
+    pos = np.subtract(ends, top, out=step)  # the top-th digit from the right
+    del edges, starts, ends  # freed before the Horner loop's arrays are made
+    vals = np.zeros(pos.size, dtype=np.int64)
+    for k in range(top, 0, -1):  # Horner over the k-th digit from the right
+        digit = np.take(dv, pos)
+        if k > 1:  # every run has at least one digit
+            digit *= width >= k  # left of a shorter run: a leading 0 that adds nothing
         vals *= 10
         vals += digit
+        pos += 1
     if vals.max() >= q:
         return None
     return vals.reshape(n, 2, deg)

@@ -8,8 +8,8 @@ import scipy.stats
 
 from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
                                    VERDICT_INSUFFICIENT, VERDICT_NOT_RLWE,
-                                   _binom_upper_quantile, _inverse_table,
-                                   _two_bin_stat, _verdict,
+                                   _binom_upper_quantile, _guess_counts,
+                                   _inverse_table, _two_bin_stat, _verdict,
                                    chi_square, coset_attack, critical_value,
                                    default_beta_coset, default_beta_two_bin,
                                    two_bin_attack)
@@ -285,6 +285,39 @@ def test_scores_match_direct_guess_counts():
                for u in range(q)]
         assert abs(cos.chi2_by_index[t] - chi_square(row, len(kept) / q)) < 1e-9
     assert two.candidate == cos.candidate == (5, 9)
+
+
+def test_guess_counts_rows_at_large_q():
+    """Every stepped row at q = 1051 against its own reduction mod q.
+
+    Among the records: g = a1/a2 = 0, x = b2/a2 = 0 and g = q - 1, where
+    each step wraps; a2 = 0 with a1 != 0, which support one row of fixed;
+    and a1 = a2 = 0, which support every row when b2 = 0 and none else."""
+    q, n = 1051, 3000
+    gen = RngHandle(9).gen
+    a1, b2 = gen.integers(0, q, size=n), gen.integers(1, q, size=n)
+    a2 = gen.integers(1, q, size=n)
+    a1[:100] = 0  # g = 0
+    b2[100:200] = 0  # x = 0
+    a1[200:300] = q - a2[200:300]  # g = q - 1
+    b2[250:300] = 0  # and x = 0
+    a2[300:400] = 0
+    a1[300:350] = gen.integers(1, q, size=50)
+    a1[350:400] = 0
+    b2[350:370] = 0
+    counts, fixed = _guess_counts(a1, a2, b2, q)
+
+    keep = a2 != 0
+    ainv = np.array([pow(int(w), -1, q) for w in a2[keep]])
+    x, g = b2[keep] * ainv % q, a1[keep] * ainv % q
+    assert g.min() == 0 and g.max() == q - 1 and x.min() == 0
+    assert counts.shape == (q, q) and counts.sum() == q * int(keep.sum())
+    for t in range(q):
+        assert np.array_equal(counts[t], np.bincount((x - t * g) % q, minlength=q)), t
+    want = np.full(q, 20)  # a1 = a2 = b2 = 0
+    for u, w in zip(a1[300:350].tolist(), b2[300:350].tolist()):
+        want[w * pow(u, -1, q) % q] += 1
+    assert np.array_equal(fixed, want)
 
 
 def test_a2_zero_records_dropped():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -495,6 +496,23 @@ def test_frozen_output_bytes(capsys, argv, digest):
         fields[7] = ""
         lines[1] = ",".join(fields)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("coset", "9625df2a936a892b3c43dc1dcbd815249f60c522a8cd26fa39194752007a62d8"),
+    ("two-bin", "496d17b5abdd4082b8bc5f7ab15727bfd6e5792e35e4f1d0f77a73a460b22ba4"),
+])
+def test_frozen_attack_reports_at_q1051(capsys, tmp_path, kind, digest):
+    # the benchmark's largest attack row: the loader, the guess-count rows
+    # and the report keep every byte but the timing
+    path = tmp_path / "q1051.jsonl"
+    assert run(capsys, "gen-samples", "--p", "7", "--d", "4871", "--q", "1051",
+               "--r", "100", "--count", "10510", "--seed", "1003",
+               "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "attack", "--attack", kind, "--samples", str(path))
+    assert code == 0
+    masked = re.sub(r'"elapsed_ms": [^,]+', '"elapsed_ms": null', out)
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
 def test_estimate_out_file(capsys, tmp_path):
