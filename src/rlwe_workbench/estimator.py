@@ -28,8 +28,15 @@ H.  Two consequences used throughout:
 The i-th cosine argument is a linear form x_i = coef[i] . y mod q of the
 coset representative y, built by integer arithmetic only, so each term is
 k times the sum, in order of i, of n gathers from one q-entry table of
-log2|cos(pi x / q)|.  Values reach 2^-1600 at larger k; the terms are
-summed by max-shifted exponent accumulation, with none dropped.
+log2|cos(pi x / q)|.  With d = coef.shape[1] (1 or 2) and every entry in
+[0, q), the dot product is at most d (q-1)^2: it is formed in int32 when
+that is below 2^31 (every row of the benchmark and the README) and in
+int64 otherwise (Dilithium's q = 8380417 at degree 1, degree 2 above
+q = 32768).  The residue is x - q (x // q): numpy divides by one scalar
+with a multiply and shift (libdivide), several times faster than its
+integer %.  It lies in [0, q), so the table is read through a clipped take
+that never clips.  Values reach 2^-1600 at larger k; the terms are summed
+by max-shifted exponent accumulation, with none dropped.
 
 The degree-2 variant replaces F_q by F_{q^2} (alpha of order m | q^2-1,
 m not dividing q-1) and puts a trace inside the cosine:
@@ -74,6 +81,7 @@ from .rings import CycloRing, reduce_mod_prime_batch
 from .sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
 
 _LONG_RUN_FIELD = 1_500_000  # field elements: q at degree 1, q^2 at degree 2
+_ORBIT_BLOCK = 1 << 14  # dot products formed per pass of _orbit_logs
 
 
 def _check_field_size(name: str, size: int, long_run: bool) -> None:
@@ -114,12 +122,39 @@ def _logsumexp2(logs: np.ndarray) -> float:
 
 def _orbit_logs(coef: np.ndarray, reps: np.ndarray, q: int, k: int) -> np.ndarray:
     """log2 of the term at each coset representative y, a column of reps:
-    k * sum_i log2|cos(pi x_i / q)| with x_i = coef[i] . y mod q."""
+    k * sum_i log2|cos(pi x_i / q)| with x_i = coef[i] . y mod q.
+
+    Every entry of coef and reps lies in [0, q), so the dot product is at
+    most d (q-1)^2 for d = coef.shape[1]: it is formed in int32 when that
+    bound is below 2^31, else in int64.  x mod q is x - q (x // q), exact
+    for x >= 0, and the residue indexes the table through a clipped take
+    that never clips.  The rows of coef go _ORBIT_BLOCK // reps.shape[1]
+    at a time (at least one) through buffers made once, so when there are
+    few cosets the ufunc calls are paid per block, not per row; the
+    gathered rows are added in order of i."""
     # q odd => no x hits q/2, so no cosine is exactly 0
     table = np.log2(np.abs(np.cos(np.pi * np.arange(q) / q)))
+    lane = np.int32 if coef.shape[1] * (q - 1) ** 2 < 2 ** 31 else np.int64
+    coef = coef.astype(lane)
+    reps = reps.astype(lane)
+    step = max(1, _ORBIT_BLOCK // reps.shape[1])
+    x = np.empty((min(step, len(coef)), reps.shape[1]), lane)
+    tmp = np.empty_like(x)
+    gathered = np.empty(x.shape)
     logs = np.zeros(reps.shape[1])
-    for row in coef:
-        logs += table[row @ reps % q]
+    for lo in range(0, len(coef), step):
+        block = coef[lo:lo + step]
+        xb, tb, gb = x[:len(block)], tmp[:len(block)], gathered[:len(block)]
+        np.multiply(block[:, :1], reps[0], out=xb)
+        for c in range(1, coef.shape[1]):
+            np.multiply(block[:, c:c + 1], reps[c], out=tb)
+            xb += tb
+        np.floor_divide(xb, q, out=tb)
+        tb *= q
+        xb -= tb
+        table.take(xb, out=gb, mode="clip")
+        for row in gb:
+            logs += row
     return k * logs
 
 

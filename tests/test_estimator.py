@@ -139,7 +139,7 @@ def test_eps_below_2_to_the_minus_1100_matches_full_grid(estimate, m, q, k, full
 
 @pytest.mark.parametrize("estimate, m, q", [
     (epsilon, 64, 193), (epsilon, 512, 10753),
-    (epsilon_deg2, 64, 383), (epsilon_deg2, 128, 1151),
+    (epsilon_deg2, 64, 383), (epsilon_deg2, 128, 1151), (epsilon_deg2, 512, 5119),
 ])
 def test_orbit_logs_equal_per_element_formula(monkeypatch, estimate, m, q):
     # the table gather gives exactly the per-element cosine and logarithm,
@@ -150,7 +150,7 @@ def test_orbit_logs_equal_per_element_formula(monkeypatch, estimate, m, q):
         calls.append(args)
         return _orbit_logs(*args)
     monkeypatch.setattr(estimator, "_orbit_logs", spy)
-    estimate(m, q, 2)
+    estimate(m, q, 2, long_run=True)  # only (512, 5119) is past the gate
     (coef, reps, q_, k), = calls
     assert q_ == q and coef.shape[0] == m // 2
     want = np.zeros(reps.shape[1])
@@ -158,6 +158,45 @@ def test_orbit_logs_equal_per_element_formula(monkeypatch, estimate, m, q):
         x = row @ reps % q
         want += np.log2(np.abs(np.cos(np.pi * x / q)))
     assert np.array_equal(_orbit_logs(coef, reps, q, k), k * want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("q", [32749, 32771])
+def test_orbit_logs_at_the_integer_lane_boundary(q, d):
+    # the dot products reach d (q-1)^2: at d = 2 that fits int32 at
+    # q = 32749 and not at q = 32771; residues here are Python integers
+    assert (2 * (q - 1) ** 2 < 2 ** 31) == (q == 32749)
+    rng = np.random.default_rng(q)
+    coef = rng.integers(0, q, size=(12, d))
+    reps = rng.integers(0, q, size=(d, 40))
+    coef[:4] = [[q - 1] * d, [0] * d, [1] * d, [q - 1] + [0] * (d - 1)]
+    reps[:, :4] = np.array([[q - 1] * d, [0] * d, [1] * d, [0] * (d - 1) + [q - 1]]).T
+    want = np.zeros(reps.shape[1])
+    for row in coef.tolist():
+        x = [sum(c * y for c, y in zip(row, col)) % q for col in reps.T.tolist()]
+        want += np.log2(np.abs(np.cos(np.pi * np.array(x) / q)))
+    assert np.array_equal(_orbit_logs(coef, reps, q, 4), 4 * want)
+
+
+# bits of log2_eps on every estimate-table row of the benchmark at k = 2,
+# and on Kyber's and Dilithium's rings at k = 4
+PINNED_LOG2_EPS = [
+    (epsilon, 64, 193, 2, "-0x1.4ab2334020898p+5"),
+    (epsilon, 128, 1153, 2, "-0x1.8772444c5c1dap+6"),
+    (epsilon, 256, 3329, 2, "-0x1.6f25b67e7d5cfp+7"),
+    (epsilon, 512, 10753, 2, "-0x1.a30d2334ed142p+8"),
+    (epsilon_deg2, 64, 383, 2, "-0x1.ceda629fb653ap+3"),
+    (epsilon_deg2, 128, 1151, 2, "-0x1.896d7d9a6d638p+5"),
+    (epsilon_deg2, 256, 1279, 2, "-0x1.240edaebb85d5p+7"),
+    (epsilon_deg2, 512, 5119, 2, "-0x1.28da7f0f1e963p+8"),
+    (epsilon_deg2, 512, 3329, 4, "-0x1.7525b6820b720p+8"),
+    (epsilon, 512, 8380417, 4, "-0x1.68c74afed92cfp+9"),
+]
+
+
+@pytest.mark.parametrize("estimate, m, q, k, bits", PINNED_LOG2_EPS)
+def test_log2_eps_bits_pinned(estimate, m, q, k, bits):
+    assert float.hex(estimate(m, q, k, long_run=True).log2_eps) == bits
 
 
 # ------------------------------------------------------------------ degree 2
