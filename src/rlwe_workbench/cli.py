@@ -25,9 +25,8 @@ import sys
 from . import family as family_mod
 from . import oracle as oracle_mod
 from .attack import AttackConfig, coset_attack, two_bin_attack
-from .estimator import empirical_uniformity, epsilon, epsilon_deg2
+from .estimator import _LONG_RUN_FIELD, empirical_uniformity, epsilon, epsilon_deg2
 from .oracle import RlweInstance, SampleFileError
-from .rings import CycloRing
 from .sampling import MAX_TAIL_CUT, BinomialSpec, GaussianSpec, WidthError
 
 
@@ -93,10 +92,9 @@ def _ring_and_error(args):
             raise ValueError("family ring sampling needs --r")
         if args.k is not None:
             raise ValueError("--k applies only to cyclotomic rings")
-        return family_mod.validate(args.p, args.d, args.q), GaussianSpec(args.r)
-    ring = CycloRing(args.m, args.q)
-    if (args.r is None) == (args.k is None):
+    elif (args.r is None) == (args.k is None):
         raise ValueError("cyclotomic sampling needs exactly one of --r or --k")
+    ring = family_mod.validate_ring(args.p, args.d, args.m, args.q)
     return ring, (GaussianSpec(args.r) if args.r is not None else BinomialSpec(args.k))
 
 
@@ -216,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     es.add_argument("--degree", type=int, choices=(1, 2), default=1,
                     help="residue degree of the reduction (default 1)")
     es.add_argument("--long-run", action="store_true",
-                    help="allow fields of more than 1.5e6 elements "
-                         "(q at degree 1, q^2 at degree 2)")
+                    help="allow fields of more than {:,} elements "
+                         "(q at degree 1, q^2 at degree 2)".format(_LONG_RUN_FIELD))
     es.add_argument("--empirical", action="store_true",
                     help="also draw reduced Gaussian errors and chi-square them")
     es.add_argument("--r0", type=float, default=math.sqrt(2 * math.pi),

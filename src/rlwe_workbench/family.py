@@ -14,7 +14,9 @@ structure requires all of:
 Under 1-6 the prime q has residue degree 2, the quotient R/qR contains
 F_{q^2}, and the chi-square attacks of the attack module apply.
 validate, search_q and extend_d return rings.FamilyRing, which carries
-the discriminant and the width scaling find-params prints.
+the discriminant and the width scaling find-params prints.  validate_ring
+builds the ring of a command's or a sample file's parameters: a family
+ring through validate, or a cyclotomic ring whose q is prime.
 
 Squarefreeness is decided by trial division up to 10^6; d with a square
 factor beyond 10^12 is rejected as undecidable rather than silently
@@ -27,7 +29,7 @@ import math
 from typing import List
 
 from .ffield import is_prime, legendre
-from .rings import FamilyRing
+from .rings import CycloRing, FamilyRing, Ring
 
 _TRIAL_LIMIT = 10 ** 6
 
@@ -97,6 +99,18 @@ def validate(p: int, d: int, q: int) -> FamilyRing:
     if bad:
         raise ValueError("inadmissible parameters: " + "; ".join(bad))
     return FamilyRing(p, d, q)
+
+
+def validate_ring(p, d, m, q) -> Ring:
+    """The family ring of (p, d, q) when m is None, else the cyclotomic
+    ring of (m, q), whose q must be prime: reduce_mod_prime_batch reduces
+    into F_q at a root of unity mod q.  ValueError on either refusal."""
+    if m is None:
+        return validate(p, d, q)
+    ring = CycloRing(m, q)
+    if not is_prime(q):
+        raise ValueError("q=%d is not prime" % q)
+    return ring
 
 
 def search_q(p: int, d: int, q_min: int, q_max: int) -> List[FamilyRing]:

@@ -209,6 +209,8 @@ def root_of_unity(order: int, q: int) -> int:
     exact order `order`, tested against the prime factors of `order`.  At
     order q-1 this is the smallest generator of F_q^*.
     """
+    if not is_prime(q):
+        raise ValueError("no root of unity mod %d: q is not prime" % q)
     if (q - 1) % order != 0:
         raise ValueError("no element of order %d: q = %d is not 1 mod %d" % (order, q, order))
     factors = _prime_factors(order)

@@ -19,9 +19,10 @@ canonical encoding "q=<q>;coeffs=<c0>,<c1>,..." so a reported guess can be
 checked later against a disclosed secret.
 
 A SampleSet keeps the ring it was built from: load builds it from the
-header once, refusing at line 1 any schema_version but SCHEMA_VERSION and
-any family ring family.validate refuses (only then does q have residue
-degree 2); draw_rlwe and draw_uniform pass on the instance's ring.
+header once through family.validate_ring, refusing at line 1 any
+schema_version but SCHEMA_VERSION, any family ring family.validate refuses
+(only then does q have residue degree 2) and any cyclotomic ring whose q
+is not prime; draw_rlwe and draw_uniform pass on the instance's ring.
 
 Determinism
 -----------
@@ -56,9 +57,11 @@ and each coefficient slot holds one run of digits without a leading zero
 -- is parsed in one vectorised pass.  Such a line is JSON, and every slot
 an unsigned decimal integer, so json.loads would read the same values;
 the range check is the one the per-line path makes.  Any other block (other
-spacing, blank lines, booleans, a fault of any kind) goes line by line
-through json.loads, which keeps every error message and line number: a
-fault is only ever reported by that path.
+spacing, blank lines, booleans, a fault of any kind) is read one line at a
+time: json.loads, an object, two length-deg vectors, every coefficient an
+int (or a JSON true/false) in [0, q).  Each line is checked as it is read,
+and load raises at the first fault, so faults come out in file order with
+their line numbers: a fault is only ever reported by that path.
 
 The pass finds the digit runs as the edges of the bytes' digit mask,
 checks the gaps between runs against the skeleton, and decodes every run
@@ -80,12 +83,13 @@ from typing import Union
 import numpy as np
 
 from . import family
-from .rings import CycloRing, FamilyRing, Ring, ring_mul
+from .rings import FamilyRing, Ring, ring_mul
 from .sampling import (BinomialSpec, GaussianSpec, RngHandle, sample_binomial_vk,
                        sample_lattice_gauss_batch)
 
 SCHEMA_VERSION = 1
-_CHUNK = 1024
+_CHUNK = 1024  # records per generation chunk; the file bytes depend on it
+_BLOCK = 1024  # lines per block in load; nothing written depends on it
 _SECRET_INDEX = 1 << 63
 
 ErrorSpec = Union[GaussianSpec, BinomialSpec, None]
@@ -215,18 +219,27 @@ _HEADER_KEYS = ["schema_version", "ring_kind", "p", "d", "m", "q",
                 "error_kind", "width_or_k", "seed", "count", "secret_hash"]
 _INT_KEYS = ["schema_version", "q", "seed", "count"]
 _RING_INT_KEYS = ["p", "d", "m"]  # null where the ring kind has no such parameter
+_INT_TYPES = {int, bool}  # what json.loads gives for a JSON integer, true or false
 _RECORD = '{"a": [%s], "b": [%s]}\n'  # one record line, as dump writes it
+_HEAD, _MID, _TAIL = _RECORD.split("%s")
 _SEP = ", "
+_AFTER = (_SEP, _MID, _TAIL + _HEAD)  # what follows a slot, by slot kind
 _PIECE = 8192  # coefficients per join in dump
 
 
+def _slot_kinds(deg: int) -> np.ndarray:
+    """The kind of each of a record's 2 deg coefficient slots, an index
+    into _AFTER: 0 inside a vector, 1 last of a, 2 last of b."""
+    kinds = np.zeros(2 * deg, dtype=np.intp)
+    kinds[deg - 1], kinds[-1] = 1, 2
+    return kinds
+
+
 def _tokens(values) -> np.ndarray:
-    """For k values, the 3k tokens str(v) + what follows its slot: inside
-    a vector (index i), last of a (k + i), last of b (2k + i)."""
-    head, mid, tail = _RECORD.split("%s")
+    """For k values, the 3k tokens str(v) + what follows its slot: the
+    token of value i in a slot of kind j is at j k + i."""
     text = [str(v) for v in values]
-    return np.array([t + after for after in (_SEP, mid, tail + head) for t in text],
-                    dtype=object)
+    return np.array([t + after for after in _AFTER for t in text], dtype=object)
 
 
 def dump(sample_set: SampleSet, fh) -> None:
@@ -241,12 +254,10 @@ def dump(sample_set: SampleSet, fh) -> None:
     count, deg = a.shape
     if not count:
         return
-    head = _RECORD.split("%s")[0]
-    slot = np.zeros(2 * deg, dtype=np.int64)  # which token follows each slot of a record
-    slot[deg - 1], slot[-1] = 1, 2
+    kinds = _slot_kinds(deg)
     table = _tokens(range(q)) if q <= 2 * a.size else None
     rows = max(1, _PIECE // (2 * deg))
-    fh.write(head)
+    fh.write(_HEAD)
     for start in range(0, count, rows):
         piece = np.concatenate([a[start:start + rows], b[start:start + rows]], axis=1)
         if table is None:
@@ -254,34 +265,13 @@ def dump(sample_set: SampleSet, fh) -> None:
             tokens, idx = _tokens(values.tolist()), codes.reshape(piece.shape)
         else:
             tokens, idx = table, piece
-        text = "".join(tokens[idx + len(tokens) // 3 * slot].ravel().tolist())
-        fh.write(text if start + rows < count else text[:-len(head)])
+        text = "".join(tokens[idx + len(tokens) // 3 * kinds].ravel().tolist())
+        fh.write(text if start + rows < count else text[:-len(_HEAD)])
 
 
 def save(sample_set: SampleSet, path) -> None:
     with open(path, "w") as fh:
         dump(sample_set, fh)
-
-
-def _coefficients(vecs, linenos, first: int, q: int, deg: int) -> np.ndarray:
-    """Record vectors (a then b of records first, first + 1, .., in file
-    order) as one int64 array, checked in one pass; a vector holding
-    anything but ints in [0, q) raises SampleFileError at its line."""
-    if not vecs:
-        return np.empty((0, deg), dtype=np.int64)
-    try:
-        arr = np.array(vecs)
-        ok = (arr.dtype.kind in "bi" and arr.ndim == 2
-              and arr.min() >= 0 and arr.max() < q)
-    except ValueError:  # ragged nesting
-        ok = False
-    if ok:
-        return arr.astype(np.int64, copy=False)
-    for i, vec in enumerate(vecs):
-        if any(not isinstance(c, int) or c < 0 or c >= q for c in vec):
-            raise SampleFileError(linenos[i // 2], "record %d: %r has coefficients "
-                                  "outside [0, %d)" % (first + i // 2, "ab"[i % 2], q))
-    raise AssertionError("unreachable: the one-pass check rejected valid vectors")
 
 
 def _block_records(block, q: int, deg: int):
@@ -291,9 +281,8 @@ def _block_records(block, q: int, deg: int):
     without a leading zero and below q."""
     body = "".join(block).encode()  # any non-ASCII byte fails the skeleton check
     n = len(block)
-    head, mid, tail = _RECORD.split("%s")
     blank = _SEP * (deg - 1)  # a vector without its digits
-    if body.translate(None, b"0123456789") != (head + blank + mid + blank + tail).encode() * n:
+    if body.translate(None, b"0123456789") != (_HEAD + blank + _MID + blank + _TAIL).encode() * n:
         return None
     # the runs of digits: the body starts with "{" and ends with "\n", so
     # the edges alternate run start, run end
@@ -304,10 +293,9 @@ def _block_records(block, q: int, deg: int):
     starts, ends = edges[0::2], edges[1::2]
     # one run per slot and none elsewhere: the first run follows the
     # head, and between runs lie exactly the skeleton's bytes between slots
-    if starts.size != 2 * deg * n or starts[0] != len(head):
+    if starts.size != 2 * deg * n or starts[0] != len(_HEAD):
         return None
-    gaps = np.array([len(_SEP)] * (deg - 1) + [len(mid)] + [len(_SEP)] * (deg - 1)
-                    + [len(tail + head)], dtype=np.intp)
+    gaps = np.array([len(after) for after in _AFTER], dtype=np.intp)[_slot_kinds(deg)]
     # step holds each run's gap to the next run (the last run's is set to
     # the skeleton's), then its width, then the position of the digit
     # being read: one array, reused
@@ -338,13 +326,21 @@ def _block_records(block, q: int, deg: int):
     return vals.reshape(n, 2, deg)
 
 
+def _in_range(vec, q: int) -> bool:
+    """Whether every entry of the list vec is an int (a JSON true/false
+    is one) in [0, q); min and max run only once every type is int."""
+    return _INT_TYPES.issuperset(map(type, vec)) and min(vec) >= 0 and max(vec) < q
+
+
 def load(path) -> SampleSet:
     """The sample set in the file at path; any fault raises SampleFileError
     at its 1-based line, the first fault in file order.
 
     Each block of 1024 lines that _block_records accepts, and that holds no
     more records than the header's count still allows, is parsed in one
-    pass; every other block is read one json.loads per line."""
+    pass; every other block is read one json.loads per line, each line
+    checked as it is read.  A file with too few records is refused at its
+    last line."""
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
@@ -368,62 +364,52 @@ def load(path) -> SampleSet:
         if header["ring_kind"] not in ("family", "cyclo"):
             raise SampleFileError(1, "bad ring parameters (unknown ring_kind %r)"
                                   % header["ring_kind"])
+        fam = header["ring_kind"] == "family"
         try:
-            ring = (family.validate(header["p"], header["d"], header["q"])
-                    if header["ring_kind"] == "family" else CycloRing(header["m"], header["q"]))
+            ring = family.validate_ring(header["p"] if fam else None, header["d"] if fam else None,
+                                        None if fam else header["m"], header["q"])
         except (ValueError, TypeError) as e:
             raise SampleFileError(1, "bad ring parameters (%s)" % e) from e
         count, deg, q = header["count"], ring.deg, ring.q
-        vecs, linenos, done = [], [], 0  # records parsed since the last flush
-        chunks = []  # one checked (a, b) pair per flush; the header count sizes nothing
-
-        def flush():
-            # checked a chunk at a time, so the parsed lists stay small;
-            # a bad coefficient is reported before any later fault
-            nonlocal done
-            arr = _coefficients(vecs, linenos, done, q, deg)
-            chunks.append((arr[0::2], arr[1::2]))
-            done += len(vecs) // 2
-            del vecs[:], linenos[:]
-
-        for start in itertools.count(2, _CHUNK):  # the line number of each block's first line
-            block = list(itertools.islice(fh, _CHUNK))
+        done, last = 0, 1  # records read; the last line read
+        # one (a, b) pair per block; the header count sizes nothing
+        chunks = [(np.empty((0, deg), dtype=np.int64),) * 2]
+        for start in itertools.count(2, _BLOCK):  # the line number of each block's first line
+            block = list(itertools.islice(fh, _BLOCK))
             if not block:
                 break
-            recs = (_block_records(block, q, deg)
-                    if done + len(linenos) + len(block) <= count else None)
-            if recs is not None:
-                flush()  # the records the per-line path holds come first in the file
-                chunks.append((recs[:, 0], recs[:, 1]))
+            last = start + len(block) - 1
+            recs = _block_records(block, q, deg) if done + len(block) <= count else None
+            if recs is None:
+                rows = []
+                for lineno, line in enumerate(block, start=start):
+                    if not line.strip():
+                        continue
+                    if done >= count:
+                        raise SampleFileError(lineno, "more records than header count %d" % count)
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError as e:
+                        raise SampleFileError(lineno, "bad record JSON (%s)" % e) from e
+                    if not isinstance(rec, dict):
+                        raise SampleFileError(lineno, "record %d is not a JSON object" % done)
+                    vecs = rec.get("a"), rec.get("b")
+                    for key, vec in zip("ab", vecs):
+                        if not isinstance(vec, list) or len(vec) != deg:
+                            raise SampleFileError(
+                                lineno, "record %d: %r is not a length-%d vector" % (done, key, deg))
+                    row = vecs[0] + vecs[1]
+                    if not _in_range(row, q):
+                        raise SampleFileError(lineno, "record %d: %r has coefficients outside "
+                                              "[0, %d)" % (done, "b" if _in_range(vecs[0], q)
+                                                           else "a", q))
+                    rows.append(row)
+                    done += 1
+                recs = np.array(rows, dtype=np.int64).reshape(-1, 2, deg)
+            else:
                 done += len(block)
-                continue
-            for lineno, line in enumerate(block, start=start):
-                if not line.strip():
-                    continue
-                got = done + len(linenos)
-                if got >= count:
-                    flush()
-                    raise SampleFileError(lineno, "more records than header count %d" % count)
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    flush()
-                    raise SampleFileError(lineno, "bad record JSON (%s)" % e) from e
-                if not isinstance(rec, dict):
-                    flush()
-                    raise SampleFileError(lineno, "record %d is not a JSON object" % got)
-                linenos.append(lineno)
-                for key in ("a", "b"):
-                    vec = rec.get(key)
-                    if not isinstance(vec, list) or len(vec) != deg:
-                        flush()
-                        raise SampleFileError(
-                            lineno, "record %d: %r is not a length-%d vector" % (got, key, deg))
-                    vecs.append(vec)
-                if len(linenos) == _CHUNK:
-                    flush()
-        flush()
+            chunks.append((recs[:, 0], recs[:, 1]))
         if done != count:
-            raise SampleFileError(done + 1, "expected %d records, found %d" % (count, done))
+            raise SampleFileError(last, "expected %d records, found %d" % (count, done))
     a, b = zip(*chunks)
     return SampleSet(ring, header, np.concatenate(a), np.concatenate(b))

@@ -232,7 +232,8 @@ def _pick(cdf: np.ndarray, rng: RngHandle) -> np.ndarray:
     total = cdf[:, -1]
     # a product that rounds up to `total` would step past the last entry
     u = np.minimum(rng.gen.random(len(cdf)) * total, np.nextafter(total, 0.0))
-    return (cdf <= u[:, None]).sum(axis=1)
+    # each row is nondecreasing, so this is the first entry above u
+    return (cdf > u[:, None]).argmax(axis=1)
 
 
 def _sample_block(p: int, w: float, count: int, rng: RngHandle) -> np.ndarray:

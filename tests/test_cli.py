@@ -154,6 +154,9 @@ def test_gen_samples_validation(capsys, tmp_path):
          "exactly one of --r or --k"),
         (("gen-samples", "--p", "3", "--d", "10", "--q", "13", "--r", "2.0"),
          "square mod q"),
+        # q = 1 mod m, but not prime
+        (("gen-samples", "--m", "8", "--q", "9", "--k", "2"), "q=9 is not prime"),
+        (("gen-samples", "--m", "4", "--q", "1", "--k", "2"), "q=1 is not prime"),
         (("gen-samples", "--m", "8", "--q", "17", "--r", "inf"), "finite and positive"),
         (("gen-samples", "--m", "8", "--q", "17", "--r", "nan"), "finite and positive"),
         (("gen-samples", "--p", "3", "--d", "2", "--q", "13", "--r", "inf"),

@@ -189,6 +189,9 @@ def test_root_of_unity_matches_brute_force_order():
     assert root_of_unity(172, 173) == 2  # the smallest generator mod 173
     with pytest.raises(ValueError):
         root_of_unity(5, 13)
+    # 8 divides 9 - 1, but 9 is not prime: 2 has order 6 mod 9, not 8
+    with pytest.raises(ValueError, match="q is not prime"):
+        root_of_unity(8, 9)
 
 
 def test_power_table_matches_recurrence():

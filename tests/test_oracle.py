@@ -251,6 +251,12 @@ def test_load_bad_ring_parameters(tmp_path):
     with pytest.raises(SampleFileError, match="bad ring parameters") as ei:
         load(path)
     assert ei.value.line == 1
+    h["q"] = 9  # 1 mod 8, but not prime: no root of unity to reduce at
+    path = _write(tmp_path, [json.dumps(h)] + lines[1:])
+    with pytest.raises(SampleFileError, match="^line 1: bad ring parameters "
+                       "\\(q=9 is not prime\\)$") as ei:
+        load(path)
+    assert ei.value.line == 1
     h["ring_kind"] = "mystery"
     path = _write(tmp_path, [json.dumps(h)] + lines[1:])
     with pytest.raises(SampleFileError, match="bad ring parameters"):
@@ -323,18 +329,21 @@ def test_load_accepts_json_booleans(tmp_path):
 
 
 def test_load_reports_the_first_fault_in_file_order(tmp_path):
-    lines = _lines(tmp_path, count=4)
-    rec = json.loads(lines[2])
-    rec["a"][0] = 0.5
-    lines[2] = json.dumps(rec)
-    lines[3] = "{broken"
-    with pytest.raises(SampleFileError, match="record 1: 'a' has coefficients") as ei:
-        load(_write(tmp_path, lines))
-    assert ei.value.line == 3
-    lines[2] = json.dumps({"a": [0, 0, 0, 0], "b": [0, 0, 0]})
-    with pytest.raises(SampleFileError, match="record 1: 'b' is not a length-4") as ei:
-        load(_write(tmp_path, lines))
-    assert ei.value.line == 3
+    # record 1 is inside the first block; record 1023 is on its last line,
+    # and the broken line after it opens the second block
+    for record in (1, 1023):
+        lines = _lines(tmp_path, count=record + 3)
+        rec = json.loads(lines[record + 1])
+        rec["a"][0] = 0.5
+        lines[record + 1] = json.dumps(rec)
+        lines[record + 2] = "{broken"
+        with pytest.raises(SampleFileError, match="record %d: 'a' has coefficients" % record) as ei:
+            load(_write(tmp_path, lines))
+        assert ei.value.line == record + 2
+        lines[record + 1] = json.dumps({"a": [0, 0, 0, 0], "b": [0, 0, 0]})
+        with pytest.raises(SampleFileError, match="record %d: 'b' is not a length-4" % record) as ei:
+            load(_write(tmp_path, lines))
+        assert ei.value.line == record + 2
 
 
 def test_load_extra_record(tmp_path):
@@ -350,6 +359,13 @@ def test_load_truncated(tmp_path):
     with pytest.raises(SampleFileError, match="expected 4 records, found 1") as ei:
         load(_write(tmp_path, lines[:2]))
     assert ei.value.line == 2
+    # blank lines around the records: the error names the last line read
+    header = json.loads(lines[0])
+    header["count"] = 3
+    padded = [json.dumps(header), "", "", "", lines[1], lines[2], "", ""]
+    with pytest.raises(SampleFileError, match="^line 8: expected 3 records, found 2$") as ei:
+        load(_write(tmp_path, padded))
+    assert ei.value.line == 8
 
 
 def test_load_tolerates_blank_lines(tmp_path):
