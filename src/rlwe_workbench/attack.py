@@ -43,6 +43,17 @@ override (e.g. the single-test 0.99 quantile critical_value(q-1, 0.99)).
 
 Both attacks run in the calling process: a process pool measured slower
 than one worker at every size tried, up to q = 1051.
+
+Memory: the count matrix is int32, and besides it coset_attack holds
+nothing q^2-sized, since its chi-square runs over row blocks of at most
+_BLOCK cells.  two_bin_attack adds one int32 index, the matrix
+transposed; a gather on an int32 index casts it to intp in small buffers,
+so the index is never widened whole (np.bincount and np.take would widen
+it).  AttackOutcome.report writes its line in pieces of at most _BLOCK
+scores.  The tracemalloc peak of an attack and its report is about 8.3
+bytes per guess for two-bin (9.2 MB at q = 1051, 90 MB at q = 3329) and
+4.7 bytes per q^2 cell for coset (5.2 MB and 47 MB); with int64 counts and
+a joined report line it was about 27 and 16.
 """
 
 from __future__ import annotations
@@ -63,6 +74,9 @@ from .rings import FamilyRing, reduce_mod_prime_batch
 VERDICT_GUESS = "GUESS"
 VERDICT_NOT_RLWE = "NOT-RLWE"
 VERDICT_INSUFFICIENT = "INSUFFICIENT-SAMPLES"
+
+# cells per coset chi-square row block, and scores per report piece
+_BLOCK = 1 << 14
 
 
 def chi_square(counts, expected) -> float:
@@ -106,7 +120,9 @@ class AttackConfig:
 
 @dataclass
 class AttackOutcome:
-    """scores is (values, index): the score of guess i is values[index[i]]."""
+    """scores is (values, index): the score of guess i is values[index[i]].
+    index is the int32 count matrix transposed (two-bin) or np.unique's
+    inverse (coset), one entry per guess."""
     verdict: str
     candidate: Optional[Tuple[int, int]]
     scores: Tuple[np.ndarray, np.ndarray]
@@ -121,28 +137,30 @@ class AttackOutcome:
         values, index = self.scores
         return values[index]
 
-    def report(self) -> str:
-        """The six-key JSON report line, without its newline: the bytes of
-        json.dumps on the report dict, with each score rounded to 6 places.
+    def report(self, fh) -> None:
+        """Write the six-key JSON report line and its newline to fh: the
+        bytes of json.dumps on the report dict, with each score rounded to
+        6 places.
 
-        Each value the index uses is rounded and encoded once, and the
-        array is joined from those tokens, gathered by index.  The two-bin
+        Each value the index uses is rounded and encoded once.  The two-bin
         values are one per bin-1 count, so no float is sorted or compared:
-        about 20 of them are used among the 1.1M guesses at q = 1051.  The
-        line is formatted in one step, so the 10 MB array text is copied
-        once."""
+        26 of them are used among the 1.1M guesses at q = 1051.  The array
+        is written in pieces of at most _BLOCK tokens gathered by index, so
+        the 10 MB line is never held whole."""
         values, index = self.scores
-        used = np.bincount(index, minlength=len(values)) > 0
+        used = np.zeros(len(values), dtype=bool)
+        used[index] = True
         tokens = np.empty(len(values), dtype=object)
         tokens[used] = [json.dumps(round(v, 6)) for v in values[used].tolist()]
-        return ('{"verdict": %s, "candidate": %s, "chi2_by_index": [%s], '
-                '"samples_used": %s, "elapsed_ms": %s, "guesses_evaluated": %s}'
-                % (json.dumps(self.verdict),
-                   json.dumps(None if self.candidate is None else list(self.candidate)),
-                   ", ".join(tokens[index].tolist()),
-                   json.dumps(self.samples_used),
-                   json.dumps(round(self.elapsed_ms, 3)),
-                   json.dumps(self.guesses_evaluated)))
+        fh.write('{"verdict": %s, "candidate": %s, "chi2_by_index": ['
+                 % (json.dumps(self.verdict),
+                    json.dumps(None if self.candidate is None else list(self.candidate))))
+        for lo in range(0, len(index), _BLOCK):
+            fh.write((", " if lo else "") + ", ".join(tokens[index[lo:lo + _BLOCK]].tolist()))
+        fh.write('], "samples_used": %s, "elapsed_ms": %s, "guesses_evaluated": %s}\n'
+                 % (json.dumps(self.samples_used),
+                    json.dumps(round(self.elapsed_ms, 3)),
+                    json.dumps(self.guesses_evaluated)))
 
 
 def _verdict(candidates: List[Tuple[int, int]]):
@@ -176,13 +194,17 @@ def _inverse_table(q: int) -> np.ndarray:
 def _guess_counts(a1, a2, b2, q: int):
     """(counts, fixed) for reduced records: counts[t, u] is the number of
     records with a2 != 0 and b2 = u*a2 + t*a1, fixed[t] the number with
-    a2 = 0 and b2 = t*a1 (these support every u in row t)."""
+    a2 = 0 and b2 = t*a1 (these support every u in row t).  counts is
+    int32, which holds any count below 2^31 records."""
+    if len(a1) >= 2 ** 31:
+        raise ValueError("guess counts are int32: at most 2^31 - 1 records, got %d"
+                         % len(a1))
     inv = _inverse_table(q)
     keep = a2 != 0
     ainv = inv[a2[keep]]
     y = b2[keep] * ainv % q  # row t's residues x - t*g, starting at t = 0
     g = a1[keep] * ainv % q
-    counts = np.empty((q, q), dtype=np.int64)
+    counts = np.empty((q, q), dtype=np.int32)
     for t in range(q):
         counts[t] = np.bincount(y, minlength=q)
         # step to row t + 1: y - g lies in (-q, q), and q & (y >> 63) adds
@@ -218,7 +240,13 @@ def coset_attack(samples: SampleSet,
                              (time.perf_counter() - t0) * 1e3, [], beta)
     counts, _ = _guess_counts(a1, a2, b2, q)
     exp = usable / q
-    chi2 = ((counts - exp) ** 2).sum(axis=1) / exp
+    # row blocks of at most _BLOCK cells keep the float temporaries small;
+    # each row is summed as a whole, so the sums do not depend on the block
+    chi2 = np.empty(q)
+    rows = max(1, _BLOCK // q)
+    for lo in range(0, q, rows):
+        chi2[lo:lo + rows] = ((counts[lo:lo + rows] - exp) ** 2).sum(axis=1)
+    chi2 /= exp
     candidates = []
     for tau in np.nonzero(chi2 > beta)[0]:
         row = counts[tau]
@@ -289,8 +317,9 @@ def two_bin_attack(samples: SampleSet,
     # counts[v, u] scores the guess (u, v), reported at index u*q + v; the
     # score is a function of that bin-1 count, so it is computed once per count
     index = counts.T.reshape(-1)
+    del counts
     values = _two_bin_stat(np.arange(index.max() + 1), m, q)
-    candidates = [(int(i) // q, int(i) % q) for i in np.nonzero((values > beta)[index])[0]]
+    candidates = [(i // q, i % q) for i in np.flatnonzero((values > beta)[index]).tolist()]
     verdict, cand = _verdict(candidates)
     return AttackOutcome(verdict, cand, (values, index), m, q * q,
                          (time.perf_counter() - t0) * 1e3, candidates, beta)

@@ -122,7 +122,7 @@ def cmd_attack(args) -> int:
     run = coset_attack if args.attack == "coset" else two_bin_attack
     outcome = run(sample_set, config)
     with _out_stream(args.out) as fh:
-        fh.write(outcome.report() + "\n")
+        outcome.report(fh)
     _note("verdict: %s%s  (%d samples used, %d guesses, %.1f ms)"
           % (outcome.verdict,
              "" if outcome.candidate is None else " candidate=%s" % (outcome.candidate,),

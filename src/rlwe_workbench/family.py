@@ -16,7 +16,8 @@ F_{q^2}, and the chi-square attacks of the attack module apply.
 validate, search_q and extend_d return rings.FamilyRing, which carries
 the discriminant and the width scaling find-params prints.  validate_ring
 builds the ring of a command's or a sample file's parameters: a family
-ring through validate, or a cyclotomic ring whose q is prime.
+ring through validate, or a cyclotomic ring whose q is prime and which
+comes with no p or d.
 
 Squarefreeness is decided by trial division up to 10^6; d with a square
 factor beyond 10^12 is rejected as undecidable rather than silently
@@ -103,10 +104,14 @@ def validate(p: int, d: int, q: int) -> FamilyRing:
 
 def validate_ring(p, d, m, q) -> Ring:
     """The family ring of (p, d, q) when m is None, else the cyclotomic
-    ring of (m, q), whose q must be prime: reduce_mod_prime_batch reduces
-    into F_q at a root of unity mod q.  ValueError on either refusal."""
+    ring of (m, q), which takes no p or d and whose q must be prime:
+    reduce_mod_prime_batch reduces into F_q at a root of unity mod q.
+    ValueError on each refusal."""
     if m is None:
         return validate(p, d, q)
+    if p is not None or d is not None:
+        raise ValueError("mixed ring parameters: a cyclotomic ring (m=%d) takes no "
+                         "p or d, got p=%r, d=%r" % (m, p, d))
     ring = CycloRing(m, q)
     if not is_prime(q):
         raise ValueError("q=%d is not prime" % q)

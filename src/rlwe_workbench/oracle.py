@@ -21,8 +21,10 @@ checked later against a disclosed secret.
 A SampleSet keeps the ring it was built from: load builds it from the
 header once through family.validate_ring, refusing at line 1 any
 schema_version but SCHEMA_VERSION, any family ring family.validate refuses
-(only then does q have residue degree 2) and any cyclotomic ring whose q
-is not prime; draw_rlwe and draw_uniform pass on the instance's ring.
+(only then does q have residue degree 2), any cyclotomic ring whose q
+is not prime, and a header that mixes p or d with m or whose ring_kind
+names the other ring; draw_rlwe and draw_uniform pass on the instance's
+ring.
 
 Determinism
 -----------
@@ -364,10 +366,11 @@ def load(path) -> SampleSet:
         if header["ring_kind"] not in ("family", "cyclo"):
             raise SampleFileError(1, "bad ring parameters (unknown ring_kind %r)"
                                   % header["ring_kind"])
-        fam = header["ring_kind"] == "family"
         try:
-            ring = family.validate_ring(header["p"] if fam else None, header["d"] if fam else None,
-                                        None if fam else header["m"], header["q"])
+            ring = family.validate_ring(header["p"], header["d"], header["m"], header["q"])
+            if isinstance(ring, FamilyRing) != (header["ring_kind"] == "family"):
+                raise ValueError("ring_kind %r does not match p=%r, d=%r, m=%r"
+                                 % tuple(header[k] for k in ("ring_kind", "p", "d", "m")))
         except (ValueError, TypeError) as e:
             raise SampleFileError(1, "bad ring parameters (%s)" % e) from e
         count, deg, q = header["count"], ring.deg, ring.q

@@ -1,6 +1,8 @@
 """Coset and two-bin chi-square distinguishers and their decision thresholds."""
 
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,21 +330,27 @@ def test_a2_zero_records_dropped():
     assert two_bin_attack(ss).samples_used == 2000  # two-bin keeps all
 
 
+def _report_text(out) -> str:
+    fh = io.StringIO()
+    out.report(fh)
+    return fh.getvalue()
+
+
 def test_report_shape():
     ss = draw_rlwe(_instance(1), 2000)
-    rep = json.loads(coset_attack(ss).report())
+    rep = json.loads(_report_text(coset_attack(ss)))
     assert list(rep.keys()) == ["verdict", "candidate", "chi2_by_index",
                                 "samples_used", "elapsed_ms", "guesses_evaluated"]
     assert rep["verdict"] == VERDICT_GUESS
     assert rep["candidate"] == [4, 7]
     assert all(isinstance(v, float) for v in rep["chi2_by_index"])
     assert all(v == round(v, 6) for v in rep["chi2_by_index"])
-    norep = json.loads(coset_attack(draw_rlwe(_instance(1), 30)).report())
+    norep = json.loads(_report_text(coset_attack(draw_rlwe(_instance(1), 30))))
     assert norep["candidate"] is None
 
 
 def _reference_report(out) -> str:
-    """The report line as json.dumps encodes the six-key dict."""
+    """The report line as json.dumps encodes the six-key dict, and its newline."""
     return json.dumps({
         "verdict": out.verdict,
         "candidate": None if out.candidate is None else list(out.candidate),
@@ -350,7 +358,7 @@ def _reference_report(out) -> str:
         "samples_used": out.samples_used,
         "elapsed_ms": round(out.elapsed_ms, 3),
         "guesses_evaluated": out.guesses_evaluated,
-    })
+    }) + "\n"
 
 
 @pytest.mark.parametrize("attack", [coset_attack, two_bin_attack])
@@ -361,10 +369,36 @@ def test_report_bytes_match_json_dumps(attack):
             (rlwe, AttackConfig(beta_chi=1e-9), VERDICT_INSUFFICIENT)]
     if attack is coset_attack:  # below the floor: all-zero scores
         runs.append((draw_rlwe(_instance(1), 30), None, VERDICT_INSUFFICIENT))
+    # 173^2 = 29929 two-bin guesses: the array is written in two pieces
+    wide = RlweInstance.generate(FamilyRing(43, 4871, 173), GaussianSpec(200.0), 1)
+    runs.append((draw_uniform(wide, 1730), None, VERDICT_NOT_RLWE))
     for samples, config, verdict in runs:
         out = attack(samples, config)
         assert out.verdict == verdict
-        assert out.report() == _reference_report(out)
+        assert _report_text(out) == _reference_report(out)
+
+
+class _Sink:
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("attack, bytes_per_cell", [(coset_attack, 6), (two_bin_attack, 14)])
+def test_attack_and_report_memory_at_q1051(attack, bytes_per_cell):
+    # the benchmark's largest attack row: besides the int32 q x q count
+    # matrix (and two-bin's int32 index), no q^2-sized temporary; the
+    # bounds sit between the peaks of this code (4.7 and 8.3 bytes) and of
+    # int64 counts with a joined report line (16.4 and 26.8)
+    q = 1051
+    inst = RlweInstance.generate(FamilyRing(7, 4871, q), GaussianSpec(100.0), 1003)
+    samples = draw_rlwe(inst, 10 * q)
+    tracemalloc.start()
+    try:
+        attack(samples).report(_Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_cell * q * q, peak / (q * q)
 
 
 def test_attack_config_validation():

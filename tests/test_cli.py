@@ -152,6 +152,8 @@ def test_gen_samples_validation(capsys, tmp_path):
         (("gen-samples", "--m", "8", "--q", "17"), "exactly one of --r or --k"),
         (("gen-samples", "--m", "8", "--q", "17", "--r", "4.0", "--k", "4"),
          "exactly one of --r or --k"),
+        (("gen-samples", "--m", "8", "--q", "17", "--d", "3", "--k", "2"),
+         "mixed ring parameters: a cyclotomic ring (m=8) takes no p or d, got p=None, d=3"),
         (("gen-samples", "--p", "3", "--d", "10", "--q", "13", "--r", "2.0"),
          "square mod q"),
         # q = 1 mod m, but not prime
@@ -507,15 +509,21 @@ def test_frozen_output_bytes(capsys, argv, digest):
 ])
 def test_frozen_attack_reports_at_q1051(capsys, tmp_path, kind, digest):
     # the benchmark's largest attack row: the loader, the guess-count rows
-    # and the report keep every byte but the timing
+    # and the report keep every byte but the timing, on stdout and in the
+    # --out file, each written piece by piece
     path = tmp_path / "q1051.jsonl"
+    report = tmp_path / "report.json"
     assert run(capsys, "gen-samples", "--p", "7", "--d", "4871", "--q", "1051",
                "--r", "100", "--count", "10510", "--seed", "1003",
                "--out", str(path))[0] == 0
     code, out, _ = run(capsys, "attack", "--attack", kind, "--samples", str(path))
     assert code == 0
-    masked = re.sub(r'"elapsed_ms": [^,]+', '"elapsed_ms": null', out)
-    assert hashlib.sha256(masked.encode()).hexdigest() == digest
+    code, empty, _ = run(capsys, "attack", "--attack", kind, "--samples", str(path),
+                         "--out", str(report))
+    assert (code, empty) == (0, "")
+    for text in (out, report.read_text()):
+        masked = re.sub(r'"elapsed_ms": [^,]+', '"elapsed_ms": null', text)
+        assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
 def test_estimate_out_file(capsys, tmp_path):

@@ -281,6 +281,23 @@ def test_load_bad_ring_parameters(tmp_path):
                            "\\(inadmissible parameters: .*" + why) as ei:
             load(path)
         assert ei.value.line == 1, (p, d, q)
+    # a header carries p and d (family) or m (cyclo), never both, and its
+    # ring_kind names the ring those parameters build
+    h = json.loads(lines[0])
+    for edit, why in [({"m": 8}, "mixed ring parameters: .*p=3, d=2"),
+                      ({"ring_kind": "cyclo", "m": 8, "q": 17, "p": 5, "d": 3},
+                       "mixed ring parameters: .*p=5, d=3"),
+                      ({"ring_kind": "cyclo", "m": 8, "q": 17, "p": None, "d": 3},
+                       "mixed ring parameters: .*p=None, d=3"),
+                      ({"m": 8, "q": 17, "p": None, "d": None},
+                       "ring_kind 'family' does not match p=None, d=None, m=8"),
+                      ({"ring_kind": "cyclo"}, "ring_kind 'cyclo' does not match "
+                       "p=3, d=2, m=None")]:
+        path = _write(tmp_path, [json.dumps(dict(h, **edit))] + lines[1:])
+        with pytest.raises(SampleFileError, match="^line 1: bad ring parameters "
+                           "\\(" + why) as ei:
+            load(path)
+        assert ei.value.line == 1, edit
 
 
 def test_load_bad_record_json(tmp_path):
