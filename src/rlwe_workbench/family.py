@@ -106,8 +106,12 @@ def validate_ring(p, d, m, q) -> Ring:
     """The family ring of (p, d, q) when m is None, else the cyclotomic
     ring of (m, q), which takes no p or d and whose q must be prime:
     reduce_mod_prime_batch reduces into F_q at a root of unity mod q.
-    ValueError on each refusal."""
+    ValueError on each refusal, naming a missing p, d or m."""
     if m is None:
+        missing = [k for k, v in (("p", p), ("d", d)) if v is None]
+        if missing:
+            raise ValueError("missing %s: a family ring needs p and d, a cyclotomic "
+                             "ring m" % " and ".join(missing))
         return validate(p, d, q)
     if p is not None or d is not None:
         raise ValueError("mixed ring parameters: a cyclotomic ring (m=%d) takes no "

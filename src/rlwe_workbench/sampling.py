@@ -28,8 +28,14 @@ integer coordinate, which leaves mass below 2^-100 there:
   L is sqrt(p) times Z^p projected onto the sum-zero hyperplane (Gram
   p*I - J), the prime-cyclotomic view of Z[X]/(X^p - 1) in Lyubashevsky,
   Peikert and Regev, "A Toolkit for Ring-LWE Cryptography" (Eurocrypt
-  2013).  `_sample_block` draws from it by conditioning i.i.d. integer
-  Gaussians on the class of their sum mod p; see there.
+  2013).  `_sample_block` draws from it as i.i.d. integer Gaussians
+  conditioned on the class j of their sum mod p: j from its exact law,
+  then the coordinates by rejection.  A round makes p - 1 free draws,
+  accepts with probability g_mod[c] / max g_mod for the class c that
+  completes j, and draws the last coordinate within c; it accepts with
+  probability H[p][j] / max g_mod in all.  Class sums where that is below
+  1/4 take the conditional walk `_walk` instead; the route depends on j
+  alone, so the mixture stays exact.  See there for the proof.
 * CycloRing: iota scales every coefficient direction by sqrt(n)
   (orthogonal basis), so D_{iota(R), r} is exactly n independent copies of
   D_{Z, r/sqrt(n)} in coefficient coordinates.
@@ -60,7 +66,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -190,18 +196,40 @@ def sample_binomial_vk(spec: BinomialSpec, rng: RngHandle, size: Optional[int] =
 # Exact D_{L, w} on the embedded Z[zeta_p]
 
 
-@lru_cache(maxsize=64)
-def _block_tables(p: int, w: float):
+# A class sum j whose rejection rounds accept with probability
+# H[p][j] / max g_mod below this goes through the walk instead: there the
+# (p - 1) / acceptance 1-D draws per record stop paying for themselves
+# against the walk's O(p^2) (measured at p = 43 and 83).
+_MIN_ACCEPT = 0.25
+
+
+class _BlockTables(NamedTuple):
     """Tables for `_sample_block` at (p, w), all O(p^2) or O(support).
 
     With s = w/sqrt(p) and g(v) = exp(-v^2/s^2) on |v| <= GaussianSpec(s).cut():
     vals[rho], cum[rho]  members v = rho (mod p) of the support, and the
                          running sums of g over them (zero-padded);
     g_mod[rho]           P(v = rho mod p) for v ~ g;
+    accept[rho]          g_mod[rho] / max g_mod;
+    diff[i][k]           (i - k) mod p;
     H[k][j]              P(v_1 + .. + v_k = j mod p), k = 0 .. p;
     j_cdf                running sums of H[p][j] / theta(j), where
-                         theta(j) = sum_k exp(-(j + k p)^2 / (p s^2)).
+                         theta(j) = sum_k exp(-(j + k p)^2 / (p s^2));
+    walk[j]              H[p][j] / max g_mod < _MIN_ACCEPT.
     """
+    s: float
+    vals: np.ndarray
+    cum: np.ndarray
+    g_mod: np.ndarray
+    accept: np.ndarray
+    diff: np.ndarray
+    H: np.ndarray
+    j_cdf: np.ndarray
+    walk: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _block_tables(p: int, w: float) -> _BlockTables:
     s = w / math.sqrt(p)
     cut = GaussianSpec(s).cut()
     per_class = -(-(2 * cut + 1) // p)
@@ -221,9 +249,11 @@ def _block_tables(p: int, w: float):
                                     axis=1)
     log_w = np.log(H[p], out=np.full(p, -np.inf), where=H[p] > 0) - log_theta
     j_cdf = np.cumsum(np.exp(log_w - log_w.max()))
-    for a in (vals, cum, g_mod, diff, H, j_cdf):
+    t = _BlockTables(s, vals, cum, g_mod, g_mod / g_mod.max(), diff, H, j_cdf,
+                     H[p] / g_mod.max() < _MIN_ACCEPT)
+    for a in t[1:]:
         a.flags.writeable = False
-    return vals, cum, g_mod, diff, H, j_cdf
+    return t
 
 
 def _pick(cdf: np.ndarray, rng: RngHandle) -> np.ndarray:
@@ -236,29 +266,69 @@ def _pick(cdf: np.ndarray, rng: RngHandle) -> np.ndarray:
     return (cdf > u[:, None]).argmax(axis=1)
 
 
-def _sample_block(p: int, w: float, count: int, rng: RngHandle) -> np.ndarray:
-    """`count` exact draws from D_{L, w}, L the embedded Z[zeta_p] (Gram
-    p*I - J), as coefficients on 1, zeta, .., zeta^(p-2).
+def _walk(t: _BlockTables, j: np.ndarray, rng: RngHandle) -> np.ndarray:
+    """Rows x in Z^p with sum x = j (mod p), drawn with weight prod g(x_i):
+    x_0 .. x_{p-1} one by one, each conditioned on the classes of the
+    later coordinates summing to what remains of j.  O(p^2) per row."""
+    p = len(t.g_mod)
+    x = np.empty((len(j), p), dtype=np.int64)
+    for i in range(p):
+        # row j: weight of class rho for x_i when the rest must sum to j
+        step = np.cumsum(t.g_mod * t.H[p - 1 - i][t.diff], axis=1)
+        rho = _pick(step[j], rng)
+        x[:, i] = t.vals[rho, _pick(t.cum[rho], rng)]
+        j = (j - rho) % p
+    return x
+
+
+def _sample_block(p: int, w: float, rng: RngHandle, out: np.ndarray) -> None:
+    """Fills the rows of `out` with exact draws from D_{L, w}, L the
+    embedded Z[zeta_p] (Gram p*I - J), as coefficients on 1, zeta, ..,
+    zeta^(p-2).
 
     L is sqrt(p) times Z^p projected onto the sum-zero hyperplane:
     x in Z^p maps to sum x_i zeta^i, with squared norm p ||x||^2 - (sum x)^2,
     and x + Z*1 is one point.  Under i.i.d. x_i ~ g, the line x + Z*1
     weighs rho_{L, w}(point) * theta(sum x mod p).  So the sum's class j is
-    drawn with weight H[p][j] / theta(j), then x_0 .. x_{p-1} one by one,
-    each conditioned on the classes of the later coordinates summing to
-    what remains of j.  Every step is exact up to the tail cut of g; the
-    cost is O(p^2) per draw whatever the width.
+    drawn with weight H[p][j] / theta(j), then x from the law of i.i.d.
+    x_i ~ g conditioned on sum x = j (mod p), and the point is
+    x_i - x_{p-1}, i < p - 1.
+
+    That conditional law is drawn by rejection.  Take g normalized and
+    M = max g_mod.  A round draws x_0 .. x_{p-2} i.i.d. from g (one
+    `sample_dgauss_z` call for all pending records), sets
+    c = (j - x_0 - .. - x_{p-2}) mod p, accepts with probability
+    g_mod[c] / M and then draws x_{p-1} from g conditioned on the class c.
+    An accepted x has probability
+        prod_{i<p-1} g(x_i) * g_mod[c] / M * g(x_{p-1}) / g_mod[c]
+        = prod_i g(x_i) / M
+    on {sum x = j (mod p)}: the conditional law up to its constant.  A
+    round accepts with probability sum_c H[p-1][j - c] g_mod[c] / M =
+    H[p][j] / M, and a rejected record is redrawn with its own j.
+
+    Where H[p][j] / M < _MIN_ACCEPT (class sums away from the mode at
+    narrow widths; most of them at middling ones, such as w = 7 at p = 43)
+    the record takes `_walk` instead.  The route is a function of j alone
+    and both routes draw the same law given j, so the mixture is exact;
+    so is each route, up to the tail cut of g.  A rejection record costs
+    (p - 1) M / H[p][j] <= 4 (p - 1) 1-D draws on average, a walked one
+    O(p^2).
     """
-    vals, cum, g_mod, diff, H, j_cdf = _block_tables(p, float(w))
-    j = _pick(np.broadcast_to(j_cdf, (count, p)), rng)
-    x = np.empty((count, p), dtype=np.int64)
-    for i in range(p):
-        # row j: weight of class rho for x_i when the rest must sum to j
-        step = np.cumsum(g_mod * H[p - 1 - i][diff], axis=1)
-        rho = _pick(step[j], rng)
-        x[:, i] = vals[rho, _pick(cum[rho], rng)]
-        j = (j - rho) % p
-    return x[:, :-1] - x[:, -1:]
+    t = _block_tables(p, float(w))
+    j = _pick(np.broadcast_to(t.j_cdf, (len(out), p)), rng)
+    walk = t.walk[j]
+    spec, todo = GaussianSpec(t.s), np.flatnonzero(~walk)
+    while todo.size:
+        head = sample_dgauss_z(spec, rng, size=todo.size * (p - 1)).reshape(-1, p - 1)
+        c = (j[todo] - head.sum(axis=1)) % p
+        ok = rng.gen.random(todo.size) < t.accept[c]
+        c, x = c[ok], head[ok]
+        x -= t.vals[c, _pick(t.cum[c], rng)][:, None]
+        out[todo[ok]] = x
+        todo = todo[~ok]
+    if walk.any():
+        x = _walk(t, j[walk], rng)
+        out[walk] = x[:, :-1] - x[:, -1:]
 
 
 def sample_lattice_gauss_batch(ring: Ring, spec: GaussianSpec, rng: RngHandle,
@@ -274,9 +344,11 @@ def sample_lattice_gauss_batch(ring: Ring, spec: GaussianSpec, rng: RngHandle,
         # iota is orthogonal with all directions scaled by sqrt(n)
         draws = sample_dgauss_z(GaussianSpec(r / math.sqrt(ring.n)), rng, size=count * ring.n)
         return draws.reshape(count, ring.n), False
-    e1 = _sample_block(ring.p, r / math.sqrt(2.0), count, rng)
-    e2 = _sample_block(ring.p, r / math.sqrt(2.0 * ring.d), count, rng)
-    return np.concatenate([e1, e2], axis=1), False
+    n = ring.p - 1
+    coeffs = np.empty((count, 2 * n), dtype=np.int64)
+    _sample_block(ring.p, r / math.sqrt(2.0), rng, coeffs[:, :n])
+    _sample_block(ring.p, r / math.sqrt(2.0 * ring.d), rng, coeffs[:, n:])
+    return coeffs, False
 
 
 # ---------------------------------------------------------------------------

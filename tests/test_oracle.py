@@ -292,7 +292,13 @@ def test_load_bad_ring_parameters(tmp_path):
                       ({"m": 8, "q": 17, "p": None, "d": None},
                        "ring_kind 'family' does not match p=None, d=None, m=8"),
                       ({"ring_kind": "cyclo"}, "ring_kind 'cyclo' does not match "
-                       "p=3, d=2, m=None")]:
+                       "p=3, d=2, m=None"),
+                      # a null ring parameter is named, not compared with an int
+                      ({"ring_kind": "cyclo", "m": None, "q": 17, "p": None, "d": None},
+                       "missing p and d: a family ring needs p and d, a cyclotomic "
+                       "ring m\\)$"),
+                      ({"p": None}, "missing p: a family ring needs p and d"),
+                      ({"d": None}, "missing d: a family ring needs p and d")]:
         path = _write(tmp_path, [json.dumps(dict(h, **edit))] + lines[1:])
         with pytest.raises(SampleFileError, match="^line 1: bad ring parameters "
                            "\\(" + why) as ei:

@@ -8,10 +8,11 @@ import scipy.stats
 
 from rlwe_workbench.rings import (CycloRing, FamilyRing, canonical_embed,
                                   _cyclotomic_block_basis, gram_matrix)
-from rlwe_workbench.sampling import (MAX_TAIL_CUT, BinomialSpec, GaussianSpec,
-                                     RngHandle, _dgauss_table, binomial_vk_pmf,
-                                     compute_beta, sample_binomial_vk, sample_dgauss_z,
-                                     sample_lattice_gauss_batch, tail_bound)
+from rlwe_workbench.sampling import (_MIN_ACCEPT, MAX_TAIL_CUT, BinomialSpec, GaussianSpec,
+                                     RngHandle, _block_tables, _dgauss_table,
+                                     binomial_vk_pmf, compute_beta, sample_binomial_vk,
+                                     sample_dgauss_z, sample_lattice_gauss_batch,
+                                     tail_bound)
 
 
 def test_spec_validation():
@@ -183,6 +184,30 @@ def test_family_block_matches_enumeration():
         exp = np.append(expect[big], expect[~big].sum())
         res = scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum())
         assert res.pvalue > 1e-4, (p, w, res.pvalue)
+
+
+def _route_masses(p, w):
+    """P(rejection), P(walk) for a record of `_sample_block` at (p, w): the
+    class sums j whose rounds accept with probability H[p][j] / max g_mod
+    below _MIN_ACCEPT walk."""
+    t = _block_tables(p, w)
+    assert np.array_equal(t.walk, t.H[p] / t.g_mod.max() < _MIN_ACCEPT)
+    mass = np.diff(t.j_cdf, prepend=0.0) / t.j_cdf[-1]
+    return mass[~t.walk].sum(), mass[t.walk].sum()
+
+
+def test_block_routes_at_oracle_widths():
+    """The exact oracles reach both routes of `_sample_block`, most of them
+    within one call.  Of 100k draws, at least 100 are expected on each
+    route at the (3, 0.6) and (5, 2.0) rows of
+    test_family_block_matches_enumeration and at the e2 widths 2.026
+    (p = 43) and 1.013 (p = 7) of test_sampler_collapse_rate_is_exact;
+    at its width 3.97 (p = 43) every record walks."""
+    for p, w in [(3, 0.6), (5, 2.0), (43, 200.0 / math.sqrt(2 * 4871)),
+                 (7, 100.0 / math.sqrt(2 * 4871))]:
+        reject, walk = _route_masses(p, w)
+        assert min(reject, walk) * 100_000 >= 100, (p, w, reject, walk)
+    assert _route_masses(43, 3.97)[0] == 0.0
 
 
 def test_family_blocks_have_expected_scale():
