@@ -9,22 +9,24 @@ lands in the subfield F_q iff
 
 Under the null (uniform b) that event has probability 1/q; with the
 correct guess and an error whose sqrt(d)-block reduces to 0 it is
-near-certain.  Both attacks score the same q x q incidence matrix, built
-once by `_guess_counts`:
+near-certain.  Both attacks count through `_guess_rows`, which yields the
+q x q incidence matrix a block of rows at a time:
 
-    counts[t, u]  records with a2 != 0 supporting the guess (u, t);
-    fixed[t]      records with a2 = 0 and b2 = t*a1, which support every u.
+    row t, column u   records with a2 != 0 and b2 = u*a2 + t*a1, plus
+                      the records with a2 = 0 and b2 = t*a1, which
+                      support every u in row t.
 
-With x = b2/a2 and g = a1/a2, row t of counts is the histogram of x - t*g
-mod q.  The rows are stepped rather than reduced: row t + 1's residues are
-row t's minus g, wrapped once back into [0, q), so the matrix costs q
-bincounts plus one subtract and one wrap per record and row, and no
+With x = b2/a2 and g = a1/a2, row t's first part is the histogram of
+x - t*g mod q.  The rows are stepped rather than reduced: row t + 1's
+residues are row t's minus g, wrapped once back into [0, q), so the matrix
+costs q bincounts plus one subtract and one wrap per record and row, and no
 integer division.
 
 two_bin_attack
-    Scores all q^2 cells, counts[v, u] + fixed[v] being the number of
-    records in the F_q bin for the guess (u, v), with a two-bin chi-square
-    statistic (F_q versus its complement).
+    Scores all q^2 cells with two-bin chi-square statistics (F_q versus
+    its complement).  It counts with the roles of a1 and a2 swapped, so
+    row u, column v is the number of records in the F_q bin for the guess
+    (u, v), and the rows in order are the report order u*q + v.
 
 coset_attack
     Scores the q rows: row t is the coset (0, t) + F_q of F_{q^2}, and
@@ -44,16 +46,14 @@ override (e.g. the single-test 0.99 quantile critical_value(q-1, 0.99)).
 Both attacks run in the calling process: a process pool measured slower
 than one worker at every size tried, up to q = 1051.
 
-Memory: the count matrix is int32, and besides it coset_attack holds
-nothing q^2-sized, since its chi-square runs over row blocks of at most
-_BLOCK cells.  two_bin_attack adds one int32 index, the matrix
-transposed; a gather on an int32 index casts it to intp in small buffers,
-so the index is never widened whole (np.bincount and np.take would widen
-it).  AttackOutcome.report writes its line in pieces of at most _BLOCK
-scores.  The tracemalloc peak of an attack and its report is about 8.3
-bytes per guess for two-bin (9.2 MB at q = 1051, 90 MB at q = 3329) and
-4.7 bytes per q^2 cell for coset (5.2 MB and 47 MB); with int64 counts and
-a joined report line it was about 27 and 16.
+Memory: coset_attack holds nothing q^2-sized; it scores each block of at
+most _BLOCK cells as it arrives.  two_bin_attack holds the int32 count
+matrix, which is its per-guess index; a gather on an int32 index casts it
+to intp in small buffers, so the index is never widened whole (np.bincount
+and np.take would widen it).  AttackOutcome.report writes its line in
+pieces of at most _BLOCK scores.  The tracemalloc peak of an attack and its
+report is about 5.5 bytes per guess for two-bin (6.1 MB at q = 1051, 57 MB
+at q = 3329), and for coset 1.2 MB and 3.2 MB, none of it q^2-sized.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ VERDICT_GUESS = "GUESS"
 VERDICT_NOT_RLWE = "NOT-RLWE"
 VERDICT_INSUFFICIENT = "INSUFFICIENT-SAMPLES"
 
-# cells per coset chi-square row block, and scores per report piece
+# cells per block of guess-count rows, and scores per report piece
 _BLOCK = 1 << 14
 
 
@@ -121,8 +121,8 @@ class AttackConfig:
 @dataclass
 class AttackOutcome:
     """scores is (values, index): the score of guess i is values[index[i]].
-    index is the int32 count matrix transposed (two-bin) or np.unique's
-    inverse (coset), one entry per guess."""
+    index is the int32 count matrix in report order (two-bin) or
+    np.unique's inverse (coset), one entry per guess."""
     verdict: str
     candidate: Optional[Tuple[int, int]]
     scores: Tuple[np.ndarray, np.ndarray]
@@ -191,11 +191,12 @@ def _inverse_table(q: int) -> np.ndarray:
     return inv
 
 
-def _guess_counts(a1, a2, b2, q: int):
-    """(counts, fixed) for reduced records: counts[t, u] is the number of
-    records with a2 != 0 and b2 = u*a2 + t*a1, fixed[t] the number with
-    a2 = 0 and b2 = t*a1 (these support every u in row t).  counts is
-    int32, which holds any count below 2^31 records."""
+def _guess_rows(a1, a2, b2, q: int):
+    """Yields (t0, rows) over t0 = 0 .. q-1 for reduced records: rows[i][u]
+    is the number of records with b2 = u*a2 + t*a1, t = t0 + i, those with
+    a2 = 0 counting in every u of the rows t with b2 = t*a1.  The blocks
+    hold at most _BLOCK cells of one reused int32 buffer, which holds any
+    count below 2^31 records: read each block before taking the next."""
     if len(a1) >= 2 ** 31:
         raise ValueError("guess counts are int32: at most 2^31 - 1 records, got %d"
                          % len(a1))
@@ -204,17 +205,19 @@ def _guess_counts(a1, a2, b2, q: int):
     ainv = inv[a2[keep]]
     y = b2[keep] * ainv % q  # row t's residues x - t*g, starting at t = 0
     g = a1[keep] * ainv % q
-    counts = np.empty((q, q), dtype=np.int32)
-    for t in range(q):
-        counts[t] = np.bincount(y, minlength=q)
-        # step to row t + 1: y - g lies in (-q, q), and q & (y >> 63) adds
-        # q exactly where it went negative
-        y -= g
-        y += q & (y >> 63)
     a1z, b2z = a1[~keep], b2[~keep]
     fixed = np.bincount(b2z[a1z != 0] * inv[a1z[a1z != 0]] % q, minlength=q)
     fixed += int(np.count_nonzero((a1z == 0) & (b2z == 0)))
-    return counts, fixed
+    buf = np.empty((max(1, _BLOCK // q), q), dtype=np.int32)
+    for t0 in range(0, q, len(buf)):
+        rows = buf[:q - t0]
+        for t, row in enumerate(rows, t0):
+            row[:] = np.bincount(y, minlength=q) + fixed[t]
+            # step to the next row: y - g lies in (-q, q), and q & (y >> 63)
+            # adds q exactly where it went negative
+            y -= g
+            y += q & (y >> 63)
+        yield t0, rows
 
 
 # ------------------------------------------------------------------ coset
@@ -238,19 +241,17 @@ def coset_attack(samples: SampleSet,
         return AttackOutcome(VERDICT_INSUFFICIENT, None,
                              np.unique(np.zeros(q), return_inverse=True), usable, 0,
                              (time.perf_counter() - t0) * 1e3, [], beta)
-    counts, _ = _guess_counts(a1, a2, b2, q)
+    keep = a2 != 0
     exp = usable / q
-    # row blocks of at most _BLOCK cells keep the float temporaries small;
-    # each row is summed as a whole, so the sums do not depend on the block
     chi2 = np.empty(q)
-    rows = max(1, _BLOCK // q)
-    for lo in range(0, q, rows):
-        chi2[lo:lo + rows] = ((counts[lo:lo + rows] - exp) ** 2).sum(axis=1)
-    chi2 /= exp
     candidates = []
-    for tau in np.nonzero(chi2 > beta)[0]:
-        row = counts[tau]
-        candidates.extend((int(s0), int(tau)) for s0 in np.nonzero(row == row.max())[0])
+    for lo, rows in _guess_rows(a1[keep], a2[keep], b2[keep], q):
+        # each row is summed as a whole, so the sums do not depend on the block
+        block = chi2[lo:lo + len(rows)]
+        block[:] = ((rows - exp) ** 2).sum(axis=1) / exp
+        for i in np.flatnonzero(block > beta).tolist():
+            candidates.extend((int(s0), lo + i)
+                              for s0 in np.flatnonzero(rows[i] == rows[i].max()))
     verdict, cand = _verdict(candidates)
     return AttackOutcome(verdict, cand, np.unique(chi2, return_inverse=True), usable, q,
                          (time.perf_counter() - t0) * 1e3, candidates, beta)
@@ -312,12 +313,12 @@ def two_bin_attack(samples: SampleSet,
                          % (min_samples, m))
     beta = (config.beta_chi if config.beta_chi is not None
             else default_beta_two_bin(q, m))
-    counts, fixed = _guess_counts(a1, a2, b2, q)
-    counts += fixed[:, None]
-    # counts[v, u] scores the guess (u, v), reported at index u*q + v; the
-    # score is a function of that bin-1 count, so it is computed once per count
-    index = counts.T.reshape(-1)
-    del counts
+    # with a1 and a2 swapped, row u of the counts holds the guesses (u, v),
+    # so the filled matrix is the report index u*q + v; the score is a
+    # function of that bin-1 count, so it is computed once per count
+    index = np.empty(q * q, dtype=np.int32)
+    for u0, rows in _guess_rows(a2, a1, b2, q):
+        index.reshape(q, q)[u0:u0 + len(rows)] = rows
     values = _two_bin_stat(np.arange(index.max() + 1), m, q)
     candidates = [(i // q, i % q) for i in np.flatnonzero((values > beta)[index]).tolist()]
     verdict, cand = _verdict(candidates)

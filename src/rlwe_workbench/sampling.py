@@ -266,16 +266,28 @@ def _pick(cdf: np.ndarray, rng: RngHandle) -> np.ndarray:
     return (cdf > u[:, None]).argmax(axis=1)
 
 
-def _walk(t: _BlockTables, j: np.ndarray, rng: RngHandle) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _walk_steps(p: int, w: float) -> np.ndarray:
+    """steps[i][j]: running sums over the classes rho of the weight of
+    x_i = rho when x_i .. x_{p-1} must sum to j (mod p).  p^3 floats
+    (0.64 MB at p = 43), built when a width first walks a record."""
+    t = _block_tables(p, w)
+    steps = np.empty((p, p, p))
+    for i in range(p):
+        np.cumsum(t.g_mod * t.H[p - 1 - i][t.diff], axis=1, out=steps[i])
+    steps.flags.writeable = False
+    return steps
+
+
+def _walk(p: int, w: float, j: np.ndarray, rng: RngHandle) -> np.ndarray:
     """Rows x in Z^p with sum x = j (mod p), drawn with weight prod g(x_i):
     x_0 .. x_{p-1} one by one, each conditioned on the classes of the
-    later coordinates summing to what remains of j.  O(p^2) per row."""
-    p = len(t.g_mod)
+    later coordinates summing to what remains of j.  O(p^2) per row,
+    besides the width's step tables, which are built once."""
+    t, steps = _block_tables(p, w), _walk_steps(p, w)
     x = np.empty((len(j), p), dtype=np.int64)
     for i in range(p):
-        # row j: weight of class rho for x_i when the rest must sum to j
-        step = np.cumsum(t.g_mod * t.H[p - 1 - i][t.diff], axis=1)
-        rho = _pick(step[j], rng)
+        rho = _pick(steps[i][j], rng)
         x[:, i] = t.vals[rho, _pick(t.cum[rho], rng)]
         j = (j - rho) % p
     return x
@@ -327,7 +339,7 @@ def _sample_block(p: int, w: float, rng: RngHandle, out: np.ndarray) -> None:
         out[todo[ok]] = x
         todo = todo[~ok]
     if walk.any():
-        x = _walk(t, j[walk], rng)
+        x = _walk(p, float(w), j[walk], rng)
         out[walk] = x[:, :-1] - x[:, -1:]
 
 

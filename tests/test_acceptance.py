@@ -356,9 +356,9 @@ def test_criterion_8_empirical_uniformity():
 
 
 def test_criterion_9_guess_loop_counters():
-    """Gate: on the same instance both attacks build the same q guess-count
-    rows; `guesses_evaluated`, the guesses each one scores, is exactly q
-    (coset) versus q^2 (two-bin)."""
+    """Gate: on the same instance both attacks count q rows of guesses
+    through one counter; `guesses_evaluated`, the guesses each one scores,
+    is exactly q (coset) versus q^2 (two-bin)."""
     ring = FamilyRing(3, 2, 13)
     inst = RlweInstance.generate(ring, GaussianSpec(2.0), seed=1)
     samples = draw_rlwe(inst, 2000)

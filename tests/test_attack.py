@@ -10,7 +10,7 @@ import scipy.stats
 
 from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
                                    VERDICT_INSUFFICIENT, VERDICT_NOT_RLWE,
-                                   _binom_upper_quantile, _guess_counts,
+                                   _BLOCK, _binom_upper_quantile, _guess_rows,
                                    _inverse_table, _two_bin_stat, _verdict,
                                    chi_square, coset_attack, critical_value,
                                    default_beta_coset, default_beta_two_bin,
@@ -289,37 +289,64 @@ def test_scores_match_direct_guess_counts():
     assert two.candidate == cos.candidate == (5, 9)
 
 
+def _check_guess_rows(a1, a2, b2, q):
+    """Every row _guess_rows yields against its own reduction mod q plus its
+    fixed support, counted here record by record.  Returns each block's
+    (t0, row count), and x, g and the fixed support."""
+    keep = a2 != 0
+    ainv = np.array([pow(int(w), -1, q) for w in a2[keep]], dtype=np.int64)
+    x, g = b2[keep] * ainv % q, a1[keep] * ainv % q
+    fixed = np.zeros(q, dtype=np.int64)
+    for u, w in zip(a1[~keep].tolist(), b2[~keep].tolist()):
+        if u:
+            fixed[w * pow(u, -1, q) % q] += 1
+        elif w == 0:
+            fixed += 1
+    blocks = []
+    for t0, rows in _guess_rows(a1, a2, b2, q):
+        assert rows.dtype == np.int32 and rows.shape[1] == q and rows.size <= _BLOCK
+        for t, row in enumerate(rows, t0):
+            want = np.bincount((x - t * g) % q, minlength=q) + fixed[t]
+            assert np.array_equal(row, want), t
+        blocks.append((t0, len(rows)))
+    return blocks, x, g, fixed
+
+
 def test_guess_counts_rows_at_large_q():
-    """Every stepped row at q = 1051 against its own reduction mod q.
+    """Every stepped row against its own reduction mod q, in both roles.
 
     Among the records: g = a1/a2 = 0, x = b2/a2 = 0 and g = q - 1, where
-    each step wraps; a2 = 0 with a1 != 0, which support one row of fixed;
-    and a1 = a2 = 0, which support every row when b2 = 0 and none else."""
-    q, n = 1051, 3000
-    gen = RngHandle(9).gen
-    a1, b2 = gen.integers(0, q, size=n), gen.integers(1, q, size=n)
-    a2 = gen.integers(1, q, size=n)
-    a1[:100] = 0  # g = 0
-    b2[100:200] = 0  # x = 0
-    a1[200:300] = q - a2[200:300]  # g = q - 1
-    b2[250:300] = 0  # and x = 0
-    a2[300:400] = 0
-    a1[300:350] = gen.integers(1, q, size=50)
-    a1[350:400] = 0
-    b2[350:370] = 0
-    counts, fixed = _guess_counts(a1, a2, b2, q)
-
-    keep = a2 != 0
-    ainv = np.array([pow(int(w), -1, q) for w in a2[keep]])
-    x, g = b2[keep] * ainv % q, a1[keep] * ainv % q
-    assert g.min() == 0 and g.max() == q - 1 and x.min() == 0
-    assert counts.shape == (q, q) and counts.sum() == q * int(keep.sum())
-    for t in range(q):
-        assert np.array_equal(counts[t], np.bincount((x - t * g) % q, minlength=q)), t
-    want = np.full(q, 20)  # a1 = a2 = b2 = 0
-    for u, w in zip(a1[300:350].tolist(), b2[300:350].tolist()):
-        want[w * pow(u, -1, q) % q] += 1
-    assert np.array_equal(fixed, want)
+    each step wraps; a2 = 0 with a1 != 0, which support one row; and
+    a1 = a2 = 0, which support every row when b2 = 0 and none else.  At
+    q = 1051 a block holds 15 rows, so the last of 71 blocks holds one; at
+    q = 13 one block holds every row.  The call with a1 and a2 swapped is
+    the one two_bin_attack makes."""
+    for q, n, last in [(1051, 3000, (1050, 1)), (13, 600, (0, 13))]:
+        gen = RngHandle(9).gen
+        a1, b2 = gen.integers(0, q, size=n), gen.integers(1, q, size=n)
+        a2 = gen.integers(1, q, size=n)
+        a1[:100] = 0  # g = 0
+        b2[100:200] = 0  # x = 0
+        a1[200:300] = q - a2[200:300]  # g = q - 1
+        b2[250:300] = 0  # and x = 0
+        a2[300:400] = 0
+        a1[300:350] = gen.integers(1, q, size=50)
+        a1[350:400] = 0
+        b2[350:370] = 0
+        rows = max(1, _BLOCK // q)
+        blocks, x, g, fixed = _check_guess_rows(a1, a2, b2, q)
+        assert [t0 for t0, _ in blocks] == list(range(0, q, rows))
+        assert blocks[-1] == last and all(k == rows for _, k in blocks[:-1])
+        assert g.min() == 0 and g.max() == q - 1 and x.min() == 0
+        want = np.full(q, 20)  # a1 = a2 = b2 = 0
+        for u, w in zip(a1[300:350].tolist(), b2[300:350].tolist()):
+            want[w * pow(u, -1, q) % q] += 1
+        assert np.array_equal(fixed, want)
+        # two-bin's roles: the records with a1 = 0 != a2 now support one
+        # row each, besides the 20 that support every row
+        swapped, _, _, fixed = _check_guess_rows(a2, a1, b2, q)
+        assert swapped == blocks
+        assert fixed.sum() == np.count_nonzero((a1 == 0) & (a2 != 0)) + 20 * q
 
 
 def test_a2_zero_records_dropped():
@@ -383,12 +410,13 @@ class _Sink:
         pass
 
 
-@pytest.mark.parametrize("attack, bytes_per_cell", [(coset_attack, 6), (two_bin_attack, 14)])
+@pytest.mark.parametrize("attack, bytes_per_cell", [(coset_attack, 1.5), (two_bin_attack, 7)])
 def test_attack_and_report_memory_at_q1051(attack, bytes_per_cell):
-    # the benchmark's largest attack row: besides the int32 q x q count
-    # matrix (and two-bin's int32 index), no q^2-sized temporary; the
-    # bounds sit between the peaks of this code (4.7 and 8.3 bytes) and of
-    # int64 counts with a joined report line (16.4 and 26.8)
+    # the benchmark's largest attack row: coset holds nothing q^2-sized and
+    # two-bin one int32 q x q count matrix, its index, and no q^2-sized
+    # temporary but the 1-byte flag mask; the bounds sit between the peaks
+    # of this code (1.1 and 5.5 bytes) and of a separate count matrix and
+    # transposed index (4.7 and 8.3)
     q = 1051
     inst = RlweInstance.generate(FamilyRing(7, 4871, q), GaussianSpec(100.0), 1003)
     samples = draw_rlwe(inst, 10 * q)
