@@ -6,9 +6,9 @@ the two-bin and coset chi-square attacks, and a Fourier-analytic uniformity
 estimator for reduced error distributions.
 """
 
-from .ffield import FieldCtx, Fq2Elem, legendre, is_prime
+from .ffield import FieldCtx, legendre, is_prime
 from .rings import FamilyRing, CycloRing
-from .sampling import GaussianSpec, BinomialSpec, RngHandle, tail_bound, compute_beta
+from .sampling import GaussianSpec, BinomialSpec, RngHandle
 from .oracle import RlweInstance, SampleSet, draw_rlwe, draw_uniform
 from .attack import AttackConfig, AttackOutcome, two_bin_attack, coset_attack, critical_value
 from .family import validate, search_q, extend_d
@@ -17,9 +17,9 @@ from .estimator import EstimateReport, epsilon, epsilon_deg2, theoretical_bound
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldCtx", "Fq2Elem", "legendre", "is_prime",
+    "FieldCtx", "legendre", "is_prime",
     "FamilyRing", "CycloRing",
-    "GaussianSpec", "BinomialSpec", "RngHandle", "tail_bound", "compute_beta",
+    "GaussianSpec", "BinomialSpec", "RngHandle",
     "RlweInstance", "SampleSet", "draw_rlwe", "draw_uniform",
     "AttackConfig", "AttackOutcome", "two_bin_attack", "coset_attack", "critical_value",
     "validate", "search_q", "extend_d",

@@ -79,19 +79,6 @@ VERDICT_INSUFFICIENT = "INSUFFICIENT-SAMPLES"
 _BLOCK = 1 << 14
 
 
-def chi_square(counts, expected) -> float:
-    """Pearson statistic sum((obs - exp)^2 / exp) over >= 2 bins."""
-    obs = np.asarray(counts, dtype=np.float64)
-    exp = np.asarray(expected, dtype=np.float64)
-    if exp.ndim == 0:
-        exp = np.full(obs.shape, float(exp))
-    if obs.ndim != 1 or obs.shape != exp.shape or obs.size < 2:
-        raise ValueError("counts and expected must be vectors of equal length >= 2")
-    if np.any(exp <= 0):
-        raise ValueError("every expected bin value must be positive")
-    return float((((obs - exp) ** 2) / exp).sum())
-
-
 def critical_value(dof: int, confidence: float) -> float:
     """Chi-square quantile: exact for dof 1, Wilson-Hilferty for dof >= 2."""
     if dof < 1:

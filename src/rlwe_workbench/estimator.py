@@ -59,8 +59,8 @@ or 2.  The sum takes one term per orbit, weighted by the orbit size: a
 little over half of the (q^2-1)/2 table gathers.
 
 The field kit comes from the ffield module: root_of_unity and power_table
-in F_q, and in F_{q^2} = FieldCtx(q) (w is its d_red, the smallest
-nonresidue) fq2_generator and fq2_power_table, whose (u, v) arrays keep the
+in F_q, and in F_{q^2} = F_q[sqrt(w)], w = smallest_nonresidue(q),
+fq2_generator, fq2_pow and fq2_power_table, whose (u, v) arrays keep the
 orbit walk vectorised.
 """
 
@@ -75,8 +75,8 @@ from typing import List, Optional
 import numpy as np
 
 from .attack import critical_value
-from .ffield import (FieldCtx, fq2_generator, fq2_power_table, is_prime, power_table,
-                     root_of_unity)
+from .ffield import (fq2_generator, fq2_pow, fq2_power_table, is_prime, power_table,
+                     root_of_unity, smallest_nonresidue)
 from .rings import CycloRing, reduce_mod_prime_batch
 from .sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
 
@@ -99,13 +99,6 @@ def _check_mk(m: int, k: int) -> None:
         raise ValueError("m=%d is not a power of 2 >= 2" % m)
     if k < 2 or k % 2:
         raise ValueError("k=%d is not an even integer >= 2" % k)
-
-
-def nu_hat(y: int, q: int, k: int) -> float:
-    """Transform of the reduced V_k distribution at frequency y: cos(pi y/q)^k."""
-    if k < 2 or k % 2:
-        raise ValueError("k=%d is not an even integer >= 2" % k)
-    return math.cos(math.pi * (y % q) / q) ** k
 
 
 def _has_order_m(alpha: int, m: int, q: int) -> bool:
@@ -262,18 +255,19 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
             "degree-2 needs m | q^2-1 and m not dividing q-1; (m=%d, q=%d) fails%s"
             % (m, q, "" if near is None else " (nearest admissible q is %d)" % near))
     _check_field_size("q^2", q * q, long_run)
-    ctx = FieldCtx(q)  # d_red = smallest nonresidue w
+    w = smallest_nonresidue(q)
     t = (q * q - 1) // m
-    g = fq2_generator(ctx)
+    g = fq2_generator(q, w)
     # coset g^j H goes to g^(jq) H under Frobenius: one term per orbit
     # {j, jq mod t}, from its smaller index, counted twice when j != jq
     j = np.arange(t)
     jq = j * q % t
     rep = j <= jq
-    u, v = fq2_power_table(g, t)
-    cs, ds = fq2_power_table(g ** t, m // 2 + 1)  # alpha = g^t has order m
+    u, v = fq2_power_table(g, t, q, w)
+    alpha = fq2_pow(g, t, q, w)  # g^t has order m
+    cs, ds = fq2_power_table(alpha, m // 2 + 1, q, w)
     # alpha^i = c + d sqrt(w), i = 1..n: Tr(alpha^i (u + v sqrt(w))) = 2cu + 2dwv
-    coef = np.stack([2 * cs[1:] % q, 2 * ds[1:] * ctx.d_red % q], axis=1)
+    coef = np.stack([2 * cs[1:] % q, 2 * ds[1:] * w % q], axis=1)
     orbit_logs = (_orbit_logs(coef, np.stack([u[rep], v[rep]]), q, k)
                   + (jq[rep] != j[rep]))  # log2 of the orbit size
     log2_eps = _assemble_log2_eps(m, orbit_logs)
@@ -333,23 +327,6 @@ def brute_force_distance(m: int, q: int, k: int) -> float:
     numer = _brute_force_numerators(m, q, k, root_of_unity(m, q))
     total = 2 ** (k * (m // 2))
     return sum(abs(c * q - total) for c in numer) / (2 * q * total)
-
-
-def gauss_sum_check(m: int, q: int, alpha: int) -> float:
-    """max over y != 0 of |sum_{j<m} exp(2 pi i alpha^j y / q)|; <= sqrt(q)."""
-    if not _is_pow2(m):
-        raise ValueError("m=%d is not a power of 2 >= 2" % m)
-    if not _has_order_m(alpha % q, m, q):
-        raise ValueError("alpha=%d does not have exact order %d mod %d" % (alpha, m, q))
-    apow = power_table(alpha % q, m, q)
-    best = 0.0
-    ys = np.arange(1, q, dtype=np.int64)
-    for lo in range(0, len(ys), 4096):
-        chunk = ys[lo:lo + 4096]
-        args = apow[:, None] * chunk[None, :] % q
-        sums = np.abs(np.exp(2j * np.pi * args / q).sum(axis=0))
-        best = max(best, float(sums.max()))
-    return best
 
 
 # ------------------------------------------------- empirical uniformity runs

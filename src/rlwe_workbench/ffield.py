@@ -1,13 +1,15 @@
-"""Arithmetic in F_q and its quadratic extension F_{q^2} = F_q[sqrt(d)].
+"""Arithmetic in F_q and its quadratic extension F_{q^2} = F_q[sqrt(w)].
 
-The extension is realized concretely as F_q[x]/(x^2 - d_red) for a quadratic
-nonresidue d_red, so elements are coordinate pairs (u, v) = u + v*sqrt(d_red).
+The extension is realized concretely as F_q[x]/(x^2 - w) for a quadratic
+nonresidue w, so an element is a coordinate pair (u, v) = u + v*sqrt(w).
 Everything here is exact integer arithmetic; q stays well inside a machine
 word for every parameter set this project touches (q <= ~11000).
 
 This module is the one home of the field kit the attacks and the estimator
-share: roots of unity mod q, their power tables, and F_{q^2} arithmetic,
-including a generator of F_{q^2}^* and power tables over (u, v) arrays.
+share: roots of unity mod q and their power tables, and in F_{q^2} one
+multiply, fq2_mul, with fq2_pow, a generator of F_{q^2}^* and (u, v) power
+tables built on it.  fq2_mul and fq2_pow take (u, v) pairs of Python ints
+or of int64 arrays alike, so the estimator's orbit walk stays vectorised.
 """
 
 from __future__ import annotations
@@ -84,10 +86,11 @@ class FieldCtx:
 
     d_red must be a quadratic nonresidue mod q.  alpha_p, when set, is an
     element of multiplicative order p in F_q^* (the image of a p-th root of
-    unity under reduction).  No pipeline reads it: the reduction map takes
-    its root from rings.FamilyRing.alpha(), which for_family matches.  It is
-    kept because the benchmark (bench/workloads.py) reads
-    for_family(...).alpha_p as the program's root.
+    unity under reduction).  No pipeline builds one: the reduction map takes
+    its root from rings.FamilyRing.alpha(), which for_family matches, and
+    the estimator passes w to the fq2_* functions itself.  It is kept
+    because the benchmark (bench/workloads.py) reads for_family(...).alpha_p
+    as the program's root, and its traced runs time for_family.
     """
 
     __slots__ = ("q", "d_red", "alpha_p")
@@ -114,76 +117,6 @@ class FieldCtx:
         extension (valid exactly because (d/q) = -1), and alpha_p is a fixed
         element of order p."""
         return cls(q, d_red=d % q, alpha_p=root_of_unity(p, q))
-
-    def elem(self, u: int, v: int = 0) -> "Fq2Elem":
-        return Fq2Elem(self, u % self.q, v % self.q)
-
-    def __repr__(self):
-        return "FieldCtx(q=%d, d_red=%d, alpha_p=%r)" % (self.q, self.d_red, self.alpha_p)
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldCtx) and self.q == other.q
-                and self.d_red == other.d_red and self.alpha_p == other.alpha_p)
-
-
-class Fq2Elem:
-    """u + v*sqrt(d_red) in F_{q^2}, coordinates reduced to [0, q-1]."""
-
-    __slots__ = ("ctx", "u", "v")
-
-    def __init__(self, ctx: FieldCtx, u: int, v: int = 0):
-        self.ctx = ctx
-        self.u = u % ctx.q
-        self.v = v % ctx.q
-
-    def __add__(self, other: "Fq2Elem") -> "Fq2Elem":
-        return Fq2Elem(self.ctx, self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other: "Fq2Elem") -> "Fq2Elem":
-        return Fq2Elem(self.ctx, self.u - other.u, self.v - other.v)
-
-    def __neg__(self) -> "Fq2Elem":
-        return Fq2Elem(self.ctx, -self.u, -self.v)
-
-    def __mul__(self, other: "Fq2Elem") -> "Fq2Elem":
-        q, d = self.ctx.q, self.ctx.d_red
-        u = (self.u * other.u + d * self.v * other.v) % q
-        v = (self.u * other.v + self.v * other.u) % q
-        return Fq2Elem(self.ctx, u, v)
-
-    def inverse(self) -> "Fq2Elem":
-        # x^-1 = conj(x) / N(x) with N(x) = u^2 - d v^2 in F_q^*
-        q, d = self.ctx.q, self.ctx.d_red
-        n = (self.u * self.u - d * self.v * self.v) % q
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in F_{q^2}")
-        ninv = pow(n, q - 2, q)
-        return Fq2Elem(self.ctx, self.u * ninv, -self.v * ninv)
-
-    def __truediv__(self, other: "Fq2Elem") -> "Fq2Elem":
-        return self * other.inverse()
-
-    def __pow__(self, e: int) -> "Fq2Elem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = Fq2Elem(self.ctx, 1, 0)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, Fq2Elem) and self.u == other.u and self.v == other.v
-                and self.ctx.q == other.ctx.q and self.ctx.d_red == other.ctx.d_red)
-
-    def __hash__(self):
-        return hash((self.u, self.v, self.ctx.q, self.ctx.d_red))
-
-    def __repr__(self):
-        return "Fq2Elem(%d + %d*sqrt(%d) mod %d)" % (self.u, self.v, self.ctx.d_red, self.ctx.q)
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -237,34 +170,50 @@ def power_table(base: int, n: int, q: int) -> np.ndarray:
     return out
 
 
-def fq2_power_table(x: Fq2Elem, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(u, v) int64 arrays with x^i = u[i] + v[i]*sqrt(d_red), i < n, by
+def fq2_mul(x, y, q: int, w: int):
+    """x*y in F_q[sqrt(w)] for pairs x = (u, v), y = (u', v') with entries
+    in [0, q) and w in [0, q): (u u' + w v v', u v' + v u') mod q.  Entries
+    may be Python ints or int64 arrays; no intermediate reaches 2 q^2, so
+    the arrays are exact for q < 2^31."""
+    (a, b), (c, d) = x, y
+    return (a * c + b * d % q * w) % q, (a * d + b * c) % q
+
+
+def fq2_pow(x, e: int, q: int, w: int):
+    """x^e in F_q[sqrt(w)] for e >= 0, by square and multiply, with the
+    pair types of fq2_mul; x^0 is (1, 0) in x's shape."""
+    u, v = x
+    out, base = (u * 0 + 1, v * 0), x
+    while e:
+        if e & 1:
+            out = fq2_mul(out, base, q, w)
+        base = fq2_mul(base, base, q, w)
+        e >>= 1
+    return out
+
+
+def fq2_power_table(x, n: int, q: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(u, v) int64 arrays with x^i = u[i] + v[i]*sqrt(w), i < n, by
     doubling as in power_table."""
-    q, d = x.ctx.q, x.ctx.d_red
     u = np.empty(n, dtype=np.int64)
     v = np.empty(n, dtype=np.int64)
     u[:1], v[:1] = 1, 0
     filled, step = 1, x
     while filled < n:
         k = min(filled, n - filled)
-        uk, vk = u[:k], v[:k]
-        u[filled:filled + k] = (uk * step.u + vk * step.v % q * d) % q
-        v[filled:filled + k] = (uk * step.v + vk * step.u) % q
+        u[filled:filled + k], v[filled:filled + k] = fq2_mul((u[:k], v[:k]), step, q, w)
         filled += k
-        step = step * step
+        step = fq2_mul(step, step, q, w)
     return u, v
 
 
-def fq2_generator(ctx: FieldCtx) -> Fq2Elem:
-    """The first generator of F_{q^2}^* in the order v = 1..q-1 (outer),
-    u = 0..q-1 (inner)."""
-    q = ctx.q
+def fq2_generator(q: int, w: int) -> Tuple[int, int]:
+    """The first generator (u, v) of F_q[sqrt(w)]^* in the order
+    v = 1..q-1 (outer), u = 0..q-1 (inner)."""
     order = q * q - 1
-    one = ctx.elem(1)
     exps = [order // f for f in _prime_factors(order)]
     for v in range(1, q):
         for u in range(q):
-            g = Fq2Elem(ctx, u, v)
-            if all(g ** e != one for e in exps):
-                return g
+            if all(fq2_pow((u, v), e, q, w) != (1, 0) for e in exps):
+                return u, v
     raise ValueError("no generator found for F_{%d^2}" % q)  # unreachable

@@ -271,11 +271,6 @@ def dump(sample_set: SampleSet, fh) -> None:
         fh.write(text if start + rows < count else text[:-len(_HEAD)])
 
 
-def save(sample_set: SampleSet, path) -> None:
-    with open(path, "w") as fh:
-        dump(sample_set, fh)
-
-
 def _block_records(block, q: int, deg: int):
     """The records of a block of lines as one (n, 2, deg) int64 array, or
     None unless every line is laid out exactly as dump writes it: the

@@ -1,4 +1,4 @@
-"""Ring arithmetic, canonical embeddings, and reduction maps.
+"""Ring arithmetic and reduction maps.
 
 Two ring families:
 
@@ -15,20 +15,12 @@ Two ring families:
 
 * CycloRing -- Z[zeta_m] for m a power of 2, degree n = m/2, with the
   negacyclic relation x^n = -1.
-
-The adjusted canonical embedding iota maps each conjugate pair of complex
-embeddings sigma to (sqrt(2)*Re sigma, sqrt(2)*Im sigma).  The embedding
-coordinate order is frozen (and only matters for byte-stable golden tests):
-for FamilyRing, conjugate-pair blocks are sorted by cyclotomic exponent
-a = 1..(p-1)/2 outer and by the +/- sqrt(d) branch inner (+ first); for
-CycloRing by odd exponent j = 1, 3, ..., n-1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -61,13 +53,9 @@ class FamilyRing:
         return 2 * (self.p - 1)
 
     @property
-    def abs_disc(self) -> int:
-        """|disc| = p^(2(p-2)) * (4d)^(p-1)."""
-        return self.p ** (2 * (self.p - 2)) * (4 * self.d) ** (self.p - 1)
-
-    @property
     def log2_disc(self) -> float:
-        """log2 |disc|, without forming the integer."""
+        """log2 |disc|, |disc| = p^(2(p-2)) * (4d)^(p-1), without forming
+        the integer."""
         return 2 * (self.p - 2) * math.log2(self.p) + (self.p - 1) * math.log2(4 * self.d)
 
     def suggested_r(self, r0: float = 1.0) -> float:
@@ -102,12 +90,6 @@ class CycloRing:
     @property
     def deg(self) -> int:
         return self.n
-
-    @property
-    def abs_disc(self) -> int:
-        # |disc(Z[zeta_m])| = 2^(n*(log2(m) - 1)) for m a power of 2
-        k = self.m.bit_length() - 1
-        return 2 ** (self.n * (k - 1))
 
     def alpha(self) -> int:
         """A primitive m-th root of unity mod q (smallest-base power)."""
@@ -176,51 +158,6 @@ def ring_mul(x, y, ring: Ring) -> np.ndarray:
     if ring.deg * (q - 1) ** 2 < 1 << 53:
         return (x.astype(float) @ M.astype(float)).astype(np.int64) % q
     return x @ M % q
-
-
-@lru_cache(maxsize=32)
-def _cyclotomic_block_basis(order: int) -> np.ndarray:
-    """Adjusted canonical embedding of Z[zeta_order] for an odd prime or a
-    2-power order, basis 1, zeta, ..., zeta^(phi-1): rows are basis
-    elements, and each exponent j < order/2 prime to order gives the column
-    pair sqrt(2) (cos, sin)(2 pi j i / order).  At an odd prime p the Gram
-    is p*I - J, determinant p^(p-2)."""
-    j = np.arange(1, (order + 1) // 2)
-    j = j[np.gcd(j, order) == 1]
-    ang = np.arange(2 * len(j))[:, None] * (2.0 * math.pi * j / order)
-    B = math.sqrt(2.0) * np.stack([np.cos(ang), np.sin(ang)], axis=2).reshape(len(ang), -1)
-    B.flags.writeable = False
-    return B
-
-
-@lru_cache(maxsize=32)
-def _embedding_matrix(ring: Ring) -> np.ndarray:
-    """Rows are iota(basis element) in the frozen coordinate order."""
-    if isinstance(ring, CycloRing):
-        return _cyclotomic_block_basis(ring.m)
-    # pair a of the block basis splits into the +sqrt(d) and -sqrt(d) pairs
-    n, deg = ring.family_n, ring.deg
-    B = _cyclotomic_block_basis(ring.p).reshape(n, n // 2, 1, 2)
-    sign = np.array([1.0, -1.0]).reshape(1, 1, 2, 1)
-    e1 = np.broadcast_to(B, (n, n // 2, 2, 2)).reshape(n, deg)
-    e2 = (math.sqrt(ring.d) * sign * B).reshape(n, deg)
-    return np.vstack([e1, e2])
-
-
-def canonical_embed(x, ring: Ring) -> np.ndarray:
-    """iota(x) for a signed-integer coefficient vector x of length deg (or
-    a (count, deg) array of them, one embedded row each)."""
-    x = np.asarray(x)
-    if x.shape[-1:] != (ring.deg,):
-        raise ValueError("coefficient array has shape %s, ring degree is %d"
-                         % (x.shape, ring.deg))
-    return x.astype(float) @ _embedding_matrix(ring)
-
-
-def gram_matrix(ring: Ring) -> np.ndarray:
-    """Gram matrix of the embedded integral basis; det equals |disc|."""
-    E = _embedding_matrix(ring)
-    return E @ E.T
 
 
 def reduce_mod_prime_batch(coeffs: np.ndarray, ring: Ring):

@@ -1,5 +1,5 @@
-"""Randomness: 1-D discrete Gaussians, the shifted binomial V_k, lattice
-discrete Gaussians over the ring embeddings, and Gaussian tail bounds.
+"""Randomness: 1-D discrete Gaussians, the shifted binomial V_k, and lattice
+discrete Gaussians over the ring embeddings.
 
 Width convention
 ----------------
@@ -8,12 +8,6 @@ Everywhere samples are drawn, the Gaussian weight is
     rho_r(x) = exp(-||x||^2 / r^2)         ("plain" convention)
 
 so the continuous standard deviation per coordinate is r/sqrt(2).
-
-The tail-bound helpers (`tail_bound`, `compute_beta`) implement a printed
-constant C_s = s*sqrt(2*pi*e)*exp(-pi*s^2) that carries the pi-normalized
-convention of its source.  That mismatch is deliberate and quarantined in
-those two functions: sampling behavior depends only on rho_r above, the
-bound formulas only on C_s.
 
 Lattice sampling
 ----------------
@@ -175,12 +169,6 @@ def sample_dgauss_z(spec: GaussianSpec, rng: RngHandle, size: Optional[int] = No
             idx = np.searchsorted(cdf, u[miss], side="right")
             chunk[miss] = support[np.minimum(idx, len(support) - 1)]
     return out if size is not None else int(out[0])
-
-
-def binomial_vk_pmf(k: int) -> np.ndarray:
-    """Exact pmf of V_k over support -k/2 .. k/2."""
-    pmf = np.array([math.comb(k, t) for t in range(k + 1)], dtype=float)
-    return pmf / 2.0 ** k
 
 
 def sample_binomial_vk(spec: BinomialSpec, rng: RngHandle, size: Optional[int] = None):
@@ -348,8 +336,9 @@ def sample_lattice_gauss_batch(ring: Ring, spec: GaussianSpec, rng: RngHandle,
     """`count` exact draws from D_{iota(R), r}, as coefficient vectors.
 
     Returns (coeffs (count, deg) signed int64, False).  The second element
-    is always False; it is kept so that callers unpacking a (coeffs,
-    fidelity flag) pair keep working.
+    is always False.  Its one reader is the benchmark's trace hook
+    (bench/tracing.py, lattice_draws, out[1]); the pair goes when the
+    benchmark refresh (ROADMAP.md, item 1) drops that hook.
     """
     r = spec.r
     if isinstance(ring, CycloRing):
@@ -361,38 +350,3 @@ def sample_lattice_gauss_batch(ring: Ring, spec: GaussianSpec, rng: RngHandle,
     _sample_block(ring.p, r / math.sqrt(2.0), rng, coeffs[:, :n])
     _sample_block(ring.p, r / math.sqrt(2.0 * ring.d), rng, coeffs[:, n:])
     return coeffs, False
-
-
-# ---------------------------------------------------------------------------
-# Tail bounds (printed-constant convention, quarantined here)
-
-
-def tail_bound(c: float, r: float, n: int) -> float:
-    """min(C_{c/r}^n, 1) with C_s = s*sqrt(2*pi*e)*exp(-pi*s^2).
-
-    Bounds P(||v|| > c*sqrt(n)) for v ~ D_{Lambda,r} over any n-dim lattice.
-    Requires c > r/sqrt(2*pi) (otherwise the bound is vacuous).
-    """
-    if n < 1:
-        raise ValueError("tail_bound: n must be >= 1")
-    if c <= r / math.sqrt(2.0 * math.pi):
-        raise ValueError("tail_bound: need c > r/sqrt(2*pi), got c=%g r=%g" % (c, r))
-    s = c / r
-    log_c = math.log(s) + 0.5 * math.log(2.0 * math.pi * math.e) - math.pi * s * s
-    if n * log_c < -745.0:
-        return 0.0
-    return min(math.exp(n * log_c), 1.0)
-
-
-def compute_beta(d: int, r: float, family_n: int) -> float:
-    """beta = min((sqrt(4*pi*e*d)/r * exp(-2*pi*d/r^2))^n, 1), n = p - 1.
-
-    Identical to tail_bound(sqrt(2d), r, n): with s = sqrt(2d)/r,
-    C_s = s*sqrt(2*pi*e)*exp(-pi*s^2) = sqrt(4*pi*e*d)/r * exp(-2*pi*d/r^2)
-    exactly.  The theorem precondition r < 2*sqrt(pi*d) is exactly
-    tail_bound's own c > r/sqrt(2*pi).
-    """
-    if r >= 2.0 * math.sqrt(math.pi * d):
-        raise ValueError("compute_beta: requires r < 2*sqrt(pi*d) = %g, got r = %g"
-                         % (2.0 * math.sqrt(math.pi * d), r))
-    return tail_bound(math.sqrt(2.0 * d), r, family_n)

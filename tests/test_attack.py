@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from reference import chi_square
 from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
                                    VERDICT_INSUFFICIENT, VERDICT_NOT_RLWE,
                                    _BLOCK, _binom_upper_quantile, _guess_rows,
                                    _inverse_table, _two_bin_stat, _verdict,
-                                   chi_square, coset_attack, critical_value,
+                                   coset_attack, critical_value,
                                    default_beta_coset, default_beta_two_bin,
                                    two_bin_attack)
 from rlwe_workbench.oracle import (RlweInstance, SampleSet, draw_rlwe,

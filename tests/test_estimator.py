@@ -5,18 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from reference import binomial_vk_pmf, gauss_sum_check
 from rlwe_workbench import estimator
 from rlwe_workbench.estimator import (EstimateReport, _brute_force_numerators,
                                       _logsumexp2, _orbit_logs,
                                       brute_force_distance, brute_force_pmf,
                                       deg2_admissible, empirical_uniformity,
                                       epsilon, epsilon_deg2,
-                                      gauss_sum_check,
-                                      nearest_admissible_q_deg2, nu_hat,
+                                      nearest_admissible_q_deg2,
                                       theoretical_bound)
 from rlwe_workbench.attack import critical_value
-from rlwe_workbench.ffield import FieldCtx, fq2_generator, fq2_power_table
-from rlwe_workbench.sampling import binomial_vk_pmf
+from rlwe_workbench.ffield import (fq2_generator, fq2_pow, fq2_power_table,
+                                   smallest_nonresidue)
 from test_acceptance import full_grid_log2_eps_deg1, full_grid_log2_eps_deg2
 
 
@@ -306,12 +306,12 @@ def test_deg2_frozen_regression():
 def test_deg2_coset_terms_are_frobenius_invariant(m, q):
     # the term at coset g^j H equals the term at g^(jq mod t) H, which lets
     # epsilon_deg2 sum once per Frobenius orbit
-    ctx = FieldCtx(q)
+    w = smallest_nonresidue(q)
     t = (q * q - 1) // m
-    g = fq2_generator(ctx)
-    u, v = fq2_power_table(g, t)
-    cs, ds = fq2_power_table(g ** t, m // 2 + 1)
-    coef = np.stack([2 * cs[1:] % q, 2 * ds[1:] * ctx.d_red % q], axis=1)
+    g = fq2_generator(q, w)
+    u, v = fq2_power_table(g, t, q, w)
+    cs, ds = fq2_power_table(fq2_pow(g, t, q, w), m // 2 + 1, q, w)
+    coef = np.stack([2 * cs[1:] % q, 2 * ds[1:] * w % q], axis=1)
     logs = _orbit_logs(coef, np.stack([u, v]), q, 2)
     j = np.arange(t)
     assert np.abs(logs - logs[j * q % t]).max() < 1e-12
@@ -319,15 +319,18 @@ def test_deg2_coset_terms_are_frobenius_invariant(m, q):
 
 # ------------------------------------------------------- model-level oracles
 
-def test_nu_hat_is_the_vk_characteristic_function():
+def test_orbit_logs_is_the_vk_characteristic_function():
+    # the kernel's own table, reduction and gather at coef = 1, every y in
+    # F_q: 2^(k log2|cos(pi y/q)|) against the direct DFT of V_k
     for q in (5, 13, 97):
         for k in (2, 4, 8):
             pmf = binomial_vk_pmf(k)
+            kernel = 2 ** _orbit_logs(np.array([[1]]), np.arange(q)[None, :], q, k)
             for y in range(q):
                 dft = sum(p * np.exp(-2j * np.pi * (t - k // 2) * y / q)
                           for t, p in enumerate(pmf))
                 assert abs(dft.imag) < 1e-12
-                assert abs(dft.real - nu_hat(y, q, k)) < 1e-12
+                assert abs(dft.real - kernel[y]) < 1e-12
 
 
 def test_brute_force_pmf_frozen():

@@ -1,11 +1,16 @@
 """Finite-field layer: primality, Legendre symbols, F_{q^2} arithmetic,
-roots of unity and power tables."""
+roots of unity and power tables.
 
+The F_{q^2} checks count against the tuple model in reference.py, not
+against the library's own fq2_mul."""
+
+import numpy as np
 import pytest
 
-from rlwe_workbench.ffield import (FieldCtx, Fq2Elem, fq2_generator, fq2_power_table,
-                                   is_prime, legendre, power_table, root_of_unity,
-                                   smallest_nonresidue)
+import reference as ref
+from rlwe_workbench.ffield import (FieldCtx, fq2_generator, fq2_mul, fq2_pow,
+                                   fq2_power_table, is_prime, legendre, power_table,
+                                   root_of_unity, smallest_nonresidue)
 
 
 def _sieve(limit):
@@ -90,60 +95,68 @@ def test_for_family_frozen():
 
 
 def test_fq2_mul_frozen():
-    ctx = FieldCtx(13, d_red=2)
-    x, y = ctx.elem(3, 5), ctx.elem(7, 11)
-    z = x * y  # (3*7 + 2*5*11, 3*11 + 5*7) = (131, 68) = (1, 3) mod 13
-    assert (z.u, z.v) == (1, 3)
-    assert ((x + y).u, (x + y).v) == (10, 3)
-    assert ((x - y).u, (x - y).v) == (9, 7)
-    assert ((-x).u, (-x).v) == (10, 8)
+    # (3 + 5 sqrt2)(7 + 11 sqrt2) = (3*7 + 2*5*11, 3*11 + 5*7) = (131, 68) = (1, 3) mod 13
+    assert fq2_mul((3, 5), (7, 11), 13, 2) == (1, 3)
+    u, v = fq2_mul((np.array([3, 7]), np.array([5, 11])),
+                   (np.array([7, 3]), np.array([11, 5])), 13, 2)
+    assert u.dtype == v.dtype == np.int64
+    assert u.tolist() == [1, 1] and v.tolist() == [3, 3]
 
 
-def test_fq2_inverse_exhaustive():
-    ctx = FieldCtx(13)
-    one = ctx.elem(1)
-    for u in range(13):
-        for v in range(13):
-            if u == 0 and v == 0:
-                continue
-            x = ctx.elem(u, v)
-            assert x * x.inverse() == one
-            assert x / x == one
-    with pytest.raises(ZeroDivisionError):
-        ctx.elem(0, 0).inverse()
+def test_fq2_mul_matches_reference():
+    # every product in F_{13^2}, and 20000 random ones at the largest q of
+    # a benchmark row, as int64 arrays against the tuple model's Python ints;
+    # the element u + v sqrt(w) is coded as u q + v
+    rng = np.random.default_rng(1)
+    every = np.stack(np.meshgrid(np.arange(13 ** 2), np.arange(13 ** 2)), axis=-1)
+    for q, codes in [(13, every.reshape(-1, 2)), (5119, rng.integers(0, 5119 ** 2, (20000, 2)))]:
+        w = smallest_nonresidue(q)
+        x, y = codes[:, 0], codes[:, 1]
+        u, v = fq2_mul((x // q, x % q), (y // q, y % q), q, w)
+        want = [ref.fq2_mul(divmod(a, q), divmod(b, q), q, w)
+                for a, b in zip(x.tolist(), y.tolist())]
+        assert list(zip(u.tolist(), v.tolist())) == want
 
 
 def test_fq2_pow():
-    ctx = FieldCtx(13)
-    x = ctx.elem(4, 9)
-    assert x ** 0 == ctx.elem(1)
-    assert x ** 1 == x
-    assert x ** 5 == x * x * x * x * x
-    assert x ** (13 * 13 - 1) == ctx.elem(1)  # group order
-    assert x ** -1 == x.inverse()
+    q, w = 13, 2
+    x = (4, 9)
+    assert fq2_pow(x, 0, q, w) == (1, 0)
+    assert fq2_pow(x, 1, q, w) == x
+    five = (1, 0)
+    for _ in range(5):
+        five = ref.fq2_mul(five, x, q, w)
+    assert fq2_pow(x, 5, q, w) == five
+    assert fq2_pow(x, q * q - 1, q, w) == (1, 0)  # group order
+    # int64 arrays, element by element against the tuple model
+    us, vs = np.arange(q).repeat(q), np.tile(np.arange(q), q)
+    for e in (0, 1, 2, 7, q, q * q - 2):
+        u, v = fq2_pow((us, vs), e, q, w)
+        assert u.shape == v.shape == us.shape
+        want = [ref.fq2_pow(y, e, q, w) for y in zip(us.tolist(), vs.tolist())]
+        assert list(zip(u.tolist(), v.tolist())) == want
 
 
 def test_norm_lands_in_prime_field():
-    ctx = FieldCtx(13)
-    for u in range(13):
-        for v in range(13):
-            x = ctx.elem(u, v)
-            assert (x * x ** 13).v == 0  # the norm x * x^q
+    q, w = 13, 2
+    for u in range(q):
+        for v in range(q):
+            x = (u, v)
+            assert ref.fq2_mul(x, ref.fq2_pow(x, q, q, w), q, w)[1] == 0  # the norm x * x^q
 
 
 def test_frobenius_fixed_points_are_prime_field():
-    ctx = FieldCtx(13)
-    fixed = {(x.u, x.v)
-             for u in range(13) for v in range(13)
-             for x in [ctx.elem(u, v)] if x ** 13 == x}
-    assert fixed == {(u, 0) for u in range(13)}
+    q, w = 13, 2
+    fixed = {(u, v) for u in range(q) for v in range(q)
+             if ref.fq2_pow((u, v), q, q, w) == (u, v)}
+    assert fixed == {(u, 0) for u in range(q)}
 
 
 def test_frobenius_is_qth_power():
-    # x^q is the conjugate (u, v) -> (u, -v), since sqrt(d)^q = -sqrt(d)
-    ctx = FieldCtx(13)
-    for (u, v) in [(3, 5), (0, 1), (7, 0), (12, 12)]:
-        assert ctx.elem(u, v) ** 13 == ctx.elem(u, -v)
+    # x^q is the conjugate (u, v) -> (u, -v), since sqrt(w)^q = -sqrt(w)
+    q, w = 13, 2
+    for x in [(3, 5), (0, 1), (7, 0), (12, 12)]:
+        assert ref.fq2_pow(x, q, q, w) == ref.fq2_conj(x, q)
 
 
 def test_find_order_p_element():
@@ -207,30 +220,28 @@ def test_power_table_matches_recurrence():
 
 
 def test_fq2_power_table_matches_recurrence():
-    for q, (u, v), n in [(13, (4, 9), 170), (173, (1, 1), 1000), (5119, (1, 1), 777)]:
-        ctx = FieldCtx(q)
-        x = ctx.elem(u, v)
-        us, vs = fq2_power_table(x, n)
-        acc = ctx.elem(1)
+    for q, x, n in [(13, (4, 9), 170), (173, (1, 1), 1000), (5119, (1, 1), 777)]:
+        w = smallest_nonresidue(q)
+        us, vs = fq2_power_table(x, n, q, w)
+        acc = (1, 0)
         for i in range(n):
-            assert (us[i], vs[i]) == (acc.u, acc.v)
-            acc = acc * x
+            assert (us[i], vs[i]) == acc
+            acc = ref.fq2_mul(acc, x, q, w)
 
 
 def test_fq2_generator_is_first_of_full_order():
     for q in (3, 5, 7, 13):
-        ctx = FieldCtx(q)
-        one = ctx.elem(1)
+        w = smallest_nonresidue(q)
         first = None
         for v in range(1, q):
             for u in range(q):
-                x, k = ctx.elem(u, v), 1
+                x, k = (u, v), 1
                 y = x
-                while y != one:
-                    y, k = y * x, k + 1
+                while y != (1, 0):
+                    y, k = ref.fq2_mul(y, x, q, w), k + 1
                 if k == q * q - 1:
                     first = x
                     break
             if first is not None:
                 break
-        assert fq2_generator(ctx) == first
+        assert fq2_generator(q, w) == first

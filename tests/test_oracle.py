@@ -9,13 +9,18 @@ import pytest
 from rlwe_workbench import oracle
 from rlwe_workbench.oracle import (RlweInstance, SampleFileError, SampleSet,
                                    _HEADER_KEYS, draw_rlwe, draw_uniform, dump,
-                                   load, save, secret_commitment)
+                                   load, secret_commitment)
 from rlwe_workbench.rings import CycloRing, FamilyRing, ring_mul
 from rlwe_workbench.sampling import (BinomialSpec, GaussianSpec, RngHandle,
                                      sample_lattice_gauss_batch)
 
 R = FamilyRing(3, 2, 13)
 C = CycloRing(8, 17)
+
+
+def _save(sample_set, path):
+    with open(path, "w") as fh:
+        dump(sample_set, fh)
 
 
 def test_secret_commitment_frozen():
@@ -97,7 +102,7 @@ def test_uniform_decoy_header_and_determinism():
 def test_header_key_order_on_disk(tmp_path):
     inst = RlweInstance.generate(C, BinomialSpec(2), seed=1)
     path = tmp_path / "s.jsonl"
-    save(draw_rlwe(inst, 3), path)
+    _save(draw_rlwe(inst, 3), path)
     first = path.read_text().splitlines()[0]
     assert list(json.loads(first).keys()) == _HEADER_KEYS
     assert _HEADER_KEYS == ["schema_version", "ring_kind", "p", "d", "m", "q",
@@ -109,7 +114,7 @@ def test_round_trip(tmp_path):
     inst = RlweInstance.generate(R, GaussianSpec(6.0), seed=8)
     ss = draw_rlwe(inst, 120)
     path = tmp_path / "rt.jsonl"
-    save(ss, path)
+    _save(ss, path)
     back = load(path)
     assert back.header == ss.header
     assert np.array_equal(back.a, ss.a)
@@ -416,7 +421,7 @@ def test_sample_set_keeps_the_callers_ring(tmp_path):
         ss = draw(inst, 5)
         assert ss.ring is ring
         path = tmp_path / "bad.jsonl"
-        save(ss, path)
+        _save(ss, path)
         with pytest.raises(SampleFileError, match="inadmissible parameters") as ei:
             load(path)
         assert ei.value.line == 1
@@ -441,7 +446,7 @@ BIG = FamilyRing(7, 4871, 1051)  # deg 12, coefficients of 1 to 4 digits
 def _file(tmp_path, ring, count, name="f.jsonl"):
     inst = RlweInstance.generate(ring, None, seed=4)
     path = tmp_path / name
-    save(draw_uniform(inst, count), path)
+    _save(draw_uniform(inst, count), path)
     return path
 
 

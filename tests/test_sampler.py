@@ -1,4 +1,5 @@
-"""Randomness layer: 1-D and lattice Gaussians, V_k, RNG forking, tail bounds."""
+"""Randomness layer: 1-D and lattice Gaussians, V_k, RNG forking, and the
+reference tail bound the samplers are held to."""
 
 import math
 
@@ -6,13 +7,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rlwe_workbench.rings import (CycloRing, FamilyRing, canonical_embed,
-                                  _cyclotomic_block_basis, gram_matrix)
+from reference import (binomial_vk_pmf, canonical_embed, cyclotomic_block_basis,
+                       family_embedding, gram_matrix, tail_bound)
+from rlwe_workbench.rings import CycloRing, FamilyRing
 from rlwe_workbench.sampling import (_MIN_ACCEPT, MAX_TAIL_CUT, BinomialSpec, GaussianSpec,
                                      RngHandle, _block_tables, _dgauss_table,
-                                     binomial_vk_pmf, compute_beta, sample_binomial_vk,
-                                     sample_dgauss_z, sample_lattice_gauss_batch,
-                                     tail_bound)
+                                     sample_binomial_vk, sample_dgauss_z,
+                                     sample_lattice_gauss_batch)
 
 
 def test_spec_validation():
@@ -154,7 +155,7 @@ def _enumerated_block(p, w):
     Along the all-ones direction, the block's shortest, ||c B||^2 =
     (p-1) t^2, so the mass outside the box is below exp(-40)."""
     R = int(math.ceil(w * math.sqrt(40.0 / (p - 1)))) + 1
-    B = _cyclotomic_block_basis(p)
+    B = cyclotomic_block_basis(p)
     G = B @ B.T
     axes = np.ogrid[tuple(slice(-R, R + 1) for _ in range(p - 1))]
     norm_sq = sum(G[i, j] * axes[i] * axes[j] for i in range(p - 1) for j in range(p - 1))
@@ -215,7 +216,7 @@ def test_family_blocks_have_expected_scale():
     ring = FamilyRing(3, 2, 13)
     r = 12.0
     coeffs, _ = sample_lattice_gauss_batch(ring, GaussianSpec(r), RngHandle(6), 30_000)
-    B = _cyclotomic_block_basis(3)
+    B = cyclotomic_block_basis(3)
     e1 = coeffs[:, :2] @ B
     e2 = coeffs[:, 2:] @ B
     # E||x||^2 = width^2 for each 2-D block (widths r/sqrt(2) and r/sqrt(2d))
@@ -254,20 +255,28 @@ def test_tail_bound_shape():
         tail_bound(2.0, 1.0, 0)
 
 
+def _beta(d, r, n):
+    """Criterion 1's success bound: tail_bound(sqrt(2d), r, n), n = p - 1."""
+    return tail_bound(math.sqrt(2 * d), r, n)
+
+
 def test_compute_beta_identity_and_frozen():
+    # beta = min((sqrt(4 pi e d)/r * exp(-2 pi d/r^2))^n, 1), the closed form
     for (d, r, n) in [(2, 2.0, 2), (4871, 200.0, 42), (4903, 150.0, 82)]:
-        assert compute_beta(d, r, n) == tail_bound(math.sqrt(2 * d), r, n)
-    assert abs(math.log10(compute_beta(4871, 68.17, 42)) + 87.4956) < 0.01
-    assert abs(compute_beta(4871, 200.0, 42) - 0.110655) < 1e-4
+        closed = math.sqrt(4 * math.pi * math.e * d) / r * math.exp(-2 * math.pi * d / r ** 2)
+        assert abs(_beta(d, r, n) / min(closed ** n, 1.0) - 1) < 1e-12
+    assert abs(math.log10(_beta(4871, 68.17, 42)) + 87.4956) < 0.01
+    assert abs(_beta(4871, 200.0, 42) - 0.110655) < 1e-4
 
 
 def test_compute_beta_precondition():
+    # tail_bound's c > r / sqrt(2 pi) at c = sqrt(2d) is r < 2 sqrt(pi d)
     lim = 2.0 * math.sqrt(math.pi * 4871)
     with pytest.raises(ValueError):
-        compute_beta(4871, 694.94, 42)
+        _beta(4871, 694.94, 42)
     with pytest.raises(ValueError):
-        compute_beta(4871, lim, 42)
-    compute_beta(4871, lim - 1e-9, 42)  # just inside is fine
+        _beta(4871, lim, 42)
+    _beta(4871, lim - 1e-9, 42)  # just inside is fine
 
 
 def test_monte_carlo_exceedances_within_bound():
@@ -280,9 +289,10 @@ def test_monte_carlo_exceedances_within_bound():
     ring = FamilyRing(3, 2, 13)
     r, n, count = 2.0, 4, 100_000
     coeffs, _ = sample_lattice_gauss_batch(ring, GaussianSpec(r), RngHandle(10), count)
-    emb = canonical_embed(coeffs[:2000], ring)
+    E = family_embedding(ring.p, ring.d)
+    emb = canonical_embed(coeffs[:2000], E)
     # full batch via the Gram form, checked against the embedding on 2000 rows
-    g = gram_matrix(ring)
+    g = gram_matrix(E)
     norms_sq = np.einsum("ij,jk,ik->i", coeffs, g, coeffs)
     assert np.allclose(norms_sq[:2000], (emb ** 2).sum(axis=1))
     c = 2 * r
@@ -309,6 +319,6 @@ def test_family_subfield_error_fraction():
     coeffs, _ = sample_lattice_gauss_batch(ring, GaussianSpec(200.0), RngHandle(11), 2000)
     e2 = coeffs[:, 42:]
     frac = (np.abs(e2).sum(axis=1) == 0).mean()
-    beta = compute_beta(4871, 200.0, 42)
+    beta = _beta(4871, 200.0, 42)
     assert frac >= 1 - beta
     assert frac > 0.95
