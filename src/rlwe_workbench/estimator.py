@@ -25,43 +25,65 @@ H.  Two consequences used throughout:
   * the y-sum needs one term per coset, (q-1)/m of them, n table gathers
     each: (q-1)/2 gathers total instead of n*(q-1) cosine evaluations.
 
-The i-th cosine argument is a linear form x_i = coef[i] . y mod q of the
-coset representative y, built by integer arithmetic only, so each term is
-k times the sum, in order of i, of n gathers from one q-entry table of
-log2|cos(pi x / q)|.  With d = coef.shape[1] (1 or 2) and every entry in
+At degree 1 the i-th cosine argument is a linear form x_i = coef[i] . y
+mod q of the coset representative y, built by integer arithmetic only, so
+each term is k times the sum, in order of i, of n gathers from one q-entry
+table of log2|cos(pi x / q)|.  With d = coef.shape[1] and every entry in
 [0, q), the dot product is at most d (q-1)^2: it is formed in int32 when
 that is below 2^31 (every row of the benchmark and the README) and in
-int64 otherwise (Dilithium's q = 8380417 at degree 1, degree 2 above
-q = 32768).  The residue is x - q (x // q): numpy divides by one scalar
-with a multiply and shift (libdivide), several times faster than its
-integer %.  It lies in [0, q), so the table is read through a clipped take
-that never clips.  Values reach 2^-1600 at larger k; the terms are summed
-by max-shifted exponent accumulation, with none dropped.
+int64 otherwise (Dilithium's q = 8380417).  The residue is x - q (x // q):
+numpy divides by one scalar with a multiply and shift (libdivide), several
+times faster than its integer %.  It lies in [0, q), so the table is read
+through a clipped take that never clips.  Values reach 2^-1600 at larger
+k; the terms are summed by max-shifted exponent accumulation, with none
+dropped.
 
 The degree-2 variant replaces F_q by F_{q^2} (alpha of order m | q^2-1,
 m not dividing q-1) and puts a trace inside the cosine:
 term(y) = prod_{i=1}^{n} cos(pi * Tr(alpha^i y) / q)^k over y != 0 in
-F_{q^2}, with Tr(u + v*sqrt(w)) = 2u: the form (2c, 2dw) . (u, v) for
-alpha^i = c + d*sqrt(w).  Same H-orbit structure: one term per coset
-g^j H, j < t = (q^2-1)/m, for g a generator of F_{q^2}*.
-The orbit sums hold a q-entry table and (q^d - 1)/m coset representatives
-at degree d, so a field of more than 1.5e6 elements (q at degree 1, q^2 at
-degree 2) sits behind long_run=True.
+F_{q^2}, with Tr(u + v*sqrt(w)) = 2u.  It is summed over the orbits of H
+on the projective line P^1(F_q) = F_{q^2}^* / F_q^*, not over the cosets
+of H in F_{q^2}^*.  Let K = H ∩ F_q^*, of order e = gcd(m, q-1): 2 when
+q = 3 (mod 4), m/2 when q = 1 (mod 4).  As alpha^n = -1 and cos^k is even,
+log2 term(y) = (1/2) sum_{h in H} k log2|cos(pi Tr(h y) / q)|, and the
+trace is F_q-linear, Tr(kappa h y) = kappa Tr(h y) for kappa in K, so
 
-The Frobenius y -> y^q fixes the degree-2 term as well.  With q' the
-inverse of q mod m, alpha^i y^q = (alpha^(i q') y)^q and the trace is
-Frobenius-invariant, so Tr(alpha^i y^q) = Tr(alpha^(i q') y).  The factor
-for i depends only on i mod n (alpha^n = -1 flips the trace's sign and
-cos^k is even), and i -> i q' permutes the residues mod n since q' is odd:
-term(y^q) = term(y).  Frobenius sends the coset g^j H to g^(jq mod t) H,
-and q^2 = 1 (mod t), so its orbits on the cosets have size 1 (t | j(q-1))
-or 2.  The sum takes one term per orbit, weighted by the orbit size: a
-little over half of the (q^2-1)/2 table gathers.
+    log2 term(y) = sum_{h in H/K} Lambda(Tr(h y)),
+    Lambda(x) = (1/2) sum_{kappa in K} k log2|cos(pi kappa x / q)|,
+
+with Lambda(0) = 0.  H F_q^* has index d = (q+1) e / m in F_{q^2}^*, so
+every y is c h z with c in F_q^*, h in H and z = g^j, j < d, for g a
+generator of F_{q^2}^*, each y e times over; and term(c z) depends on c
+only through its class c K.  Hence
+
+    sum_{y != 0} term(y) = m * sum_{j < d} sum_{c in F_q^*/K} term(c g^j),
+
+d N values with N = (q-1)/e, summed as at degree 1.
+
+Write c = gamma^s for gamma = root_of_unity(q-1, q), a generator of F_q^*.
+Lambda(gamma^t) depends only on t mod N, since gamma^N generates K, so the
+N values of one z form a cyclic correlation: log2 term(gamma^s z) =
+sum_r hist[r] L[(r + s) mod N], with L[t] = Lambda(gamma^t) and hist[r]
+the number of h in H/K with Tr(h z) in gamma^r K (a zero trace adds
+nothing).  One rfft/irfft pair gives it as the linear correlation of hist
+with L laid twice end to end, read at lags s < N, which no length >= 2N
+wraps.  The length is the smallest 2^a 3^b 5^c >= 2N: numpy's pocketfft
+splits that into its fast radices, while a length with a large prime
+factor goes through Bluestein's algorithm at several times the cost.  The
+representatives go _FFT_BLOCK histogram cells at a time, each block summed
+to one log-sum-exp, so the sum holds O(q) tables (L, the class of each
+element of F_q, the q+1 traces Tr(h z)) and one block, and its time
+grows as (q^2/m) log q.  Its rounding is not that of a per-element sum;
+the two agree to about 1e-12 in log2 eps.
+
+A field of more than 1.5e6 elements (q at degree 1, q^2 at degree 2) sits
+behind long_run=True: the degree-1 sum holds (q-1)/m coset
+representatives, and the degree-2 time grows with q^2/m.
 
 The field kit comes from the ffield module: root_of_unity and power_table
 in F_q, and in F_{q^2} = F_q[sqrt(w)], w = smallest_nonresidue(q),
-fq2_generator, fq2_pow and fq2_power_table, whose (u, v) arrays keep the
-orbit walk vectorised.
+fq2_generator, fq2_pow and fq2_power_table, whose (u, v) arrays give the
+powers alpha^i, i < m/e, and the representatives g^j, j < d.
 """
 
 from __future__ import annotations
@@ -82,6 +104,7 @@ from .sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
 
 _LONG_RUN_FIELD = 1_500_000  # field elements: q at degree 1, q^2 at degree 2
 _ORBIT_BLOCK = 1 << 14  # dot products formed per pass of _orbit_logs
+_FFT_BLOCK = 1 << 16  # histogram cells per block of _line_orbit_logs
 
 
 def _check_field_size(name: str, size: int, long_run: bool) -> None:
@@ -243,6 +266,65 @@ def nearest_admissible_q_deg2(m: int, q0: int) -> Optional[int]:
     return next((x for x in nearest_first if deg2_admissible(m, x)), None)
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n >= 1, a length pocketfft splits into
+    its fast radices with no Bluestein step."""
+    best = 1 << (n - 1).bit_length()
+    p35 = 1
+    while p35 < best:
+        p3 = p35
+        while p3 < best:
+            best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+            p3 *= 3
+        p35 *= 5
+    return best
+
+
+def _line_orbit_logs(m: int, q: int, k: int):
+    """Yields blocks of rows, one row per orbit of H on the projective
+    line, in order of j < d: row j holds log2 term(gamma^s g^j), s < N, for
+    g = fq2_generator(q, w) and gamma = root_of_unity(q-1, q), where
+    e = |K| = gcd(m, q-1), N = (q-1)/e and d = (q+1)e/m.  A block holds at
+    most _FFT_BLOCK cells of its zero-padded histogram rows (at least one
+    row).
+
+    With L[t] = Lambda(gamma^t) and hist[r] the number of h in H/K with
+    Tr(h z) = gamma^r K, a row is the cyclic correlation
+    sum_r hist[r] L[(r + s) mod N]: the linear correlation of hist with L
+    twice over, read at lags s < N, which no length >= 2N wraps."""
+    w = smallest_nonresidue(q)
+    e = math.gcd(m, q - 1)
+    big_n = (q - 1) // e
+    d = (q + 1) * e // m
+    g = fq2_generator(q, w)
+    alpha = fq2_pow(g, (q * q - 1) // m, q, w)  # order m
+    gpow = power_table(root_of_unity(q - 1, q), q - 1, q)
+    # K = <gamma^N>: column t of the reshape is the coset gamma^t K; q odd,
+    # so no cosine is exactly 0
+    lam = (0.5 * k) * np.log2(np.abs(np.cos(np.pi * gpow / q))).reshape(e, big_n).sum(axis=0)
+    size = _fft_size(2 * big_n)
+    lam_hat = np.fft.rfft(np.tile(lam, 2), size)
+    # the class of x in F_q^*/K, and bin N for x = 0 (Lambda(0) = 0)
+    cls = np.empty(q, dtype=np.int64)
+    cls[gpow] = np.arange(q - 1) % big_n
+    cls[0] = big_n
+    # alpha^i, i < m/e, is a transversal of H/K; g^j, j < d, of the orbits.
+    # Tr(alpha^i g^j) = 2(c u + w d v) for alpha^i = c + d sqrt(w) and
+    # g^j = u + v sqrt(w); the q+1 products alpha^i g^j are one per point
+    # of the line
+    cs, ds = fq2_power_table(alpha, m // e, q, w)
+    zu, zv = fq2_power_table(g, d, q, w)
+    tr_cls = cls[(2 * cs[:, None] * zu + 2 * w * ds[:, None] % q * zv) % q]
+    step = max(1, _FFT_BLOCK // size)
+    for j0 in range(0, d, step):
+        block = tr_cls[:, j0:j0 + step]
+        rows = block.shape[1]
+        hist = np.bincount((block + (big_n + 1) * np.arange(rows)).ravel(),
+                           minlength=rows * (big_n + 1)).reshape(rows, big_n + 1)
+        hist_hat = np.fft.rfft(hist[:, :big_n], size, axis=1)
+        yield np.fft.irfft(hist_hat.conj() * lam_hat, size, axis=1)[:, :big_n]
+
+
 def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateReport:
     """Degree-2 estimate: y runs over F_{q^2} \\ {0}, trace inside the cosine."""
     t0 = time.perf_counter()
@@ -255,22 +337,8 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
             "degree-2 needs m | q^2-1 and m not dividing q-1; (m=%d, q=%d) fails%s"
             % (m, q, "" if near is None else " (nearest admissible q is %d)" % near))
     _check_field_size("q^2", q * q, long_run)
-    w = smallest_nonresidue(q)
-    t = (q * q - 1) // m
-    g = fq2_generator(q, w)
-    # coset g^j H goes to g^(jq) H under Frobenius: one term per orbit
-    # {j, jq mod t}, from its smaller index, counted twice when j != jq
-    j = np.arange(t)
-    jq = j * q % t
-    rep = j <= jq
-    u, v = fq2_power_table(g, t, q, w)
-    alpha = fq2_pow(g, t, q, w)  # g^t has order m
-    cs, ds = fq2_power_table(alpha, m // 2 + 1, q, w)
-    # alpha^i = c + d sqrt(w), i = 1..n: Tr(alpha^i (u + v sqrt(w))) = 2cu + 2dwv
-    coef = np.stack([2 * cs[1:] % q, 2 * ds[1:] * w % q], axis=1)
-    orbit_logs = (_orbit_logs(coef, np.stack([u[rep], v[rep]]), q, k)
-                  + (jq[rep] != j[rep]))  # log2 of the orbit size
-    log2_eps = _assemble_log2_eps(m, orbit_logs)
+    block_sums = [_logsumexp2(logs) for logs in _line_orbit_logs(m, q, k)]
+    log2_eps = _assemble_log2_eps(m, np.array(block_sums))
     return EstimateReport(m, q, k, 2, log2_eps,
                           _bound_or_none(m, q, k), _beta_gauss(m, q),
                           (time.perf_counter() - t0) * 1e3)

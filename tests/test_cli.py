@@ -434,6 +434,14 @@ def test_estimate_deg1_field_size_gate(capsys):
                    "long_run=True (--long-run on the command line)\n")
 
 
+def test_estimate_deg2_exact_integer_row(capsys):
+    # H is all of F_9^*: log2 eps = -4 exactly, and a sum a last bit above
+    # -4 would print floor 3; runtime_ms masked
+    code, out, err = run(capsys, "estimate", "--m", "8", "--q", "3", "--degree", "2")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].rsplit(",", 1)[0] == "8,3,2,2,4,-2.8690,0.608253"
+
+
 @pytest.mark.parametrize("argv, floor", [
     (["--m", "512", "--q", "10753", "--k", "6"], "1273"),
     (["--m", "512", "--q", "5119", "--degree", "2", "--long-run", "--k", "8"], "1211"),
