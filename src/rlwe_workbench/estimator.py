@@ -25,18 +25,16 @@ H.  Two consequences used throughout:
   * the y-sum needs one term per coset, (q-1)/m of them, n table gathers
     each: (q-1)/2 gathers total instead of n*(q-1) cosine evaluations.
 
-At degree 1 the i-th cosine argument is a linear form x_i = coef[i] . y
-mod q of the coset representative y, built by integer arithmetic only, so
-each term is k times the sum, in order of i, of n gathers from one q-entry
-table of log2|cos(pi x / q)|.  With d = coef.shape[1] and every entry in
-[0, q), the dot product is at most d (q-1)^2: it is formed in int32 when
-that is below 2^31 (every row of the benchmark and the README) and in
-int64 otherwise (Dilithium's q = 8380417).  The residue is x - q (x // q):
-numpy divides by one scalar with a multiply and shift (libdivide), several
-times faster than its integer %.  It lies in [0, q), so the table is read
-through a clipped take that never clips.  Values reach 2^-1600 at larger
-k; the terms are summed by max-shifted exponent accumulation, with none
-dropped.
+At degree 1, write alpha = gamma^t for gamma = root_of_unity(q-1, q) and
+t = (q-1)/m.  The first n t = (q-1)/2 powers of gamma, laid out as an
+n x t grid, hold alpha^i gamma^s at row i, column s: the columns run over
+one y = gamma^s per coset of H, the rows over i < n.  Each term is k times
+the sum down its column, in order of i, of n gathers from one q-entry
+table of log2|cos(pi x / q)|; the grid is one reshape of power_table, and
+no product or reduction mod q is formed.  Degree 2 reads the same table
+down an e x N grid of the powers of gamma (see below); both go through
+_class_logs.  Values reach 2^-1600 at larger k; the terms are summed by
+max-shifted exponent accumulation, with none dropped.
 
 The degree-2 variant replaces F_q by F_{q^2} (alpha of order m | q^2-1,
 m not dividing q-1) and puts a trace inside the cosine:
@@ -60,16 +58,18 @@ only through its class c K.  Hence
 
 d N values with N = (q-1)/e, summed as at degree 1.
 
-Write c = gamma^s for gamma = root_of_unity(q-1, q), a generator of F_q^*.
+Write c = gamma^s, gamma the generator of F_q^* used at degree 1.
 Lambda(gamma^t) depends only on t mod N, since gamma^N generates K, so the
 N values of one z form a cyclic correlation: log2 term(gamma^s z) =
 sum_r hist[r] L[(r + s) mod N], with L[t] = Lambda(gamma^t) and hist[r]
 the number of h in H/K with Tr(h z) in gamma^r K (a zero trace adds
-nothing).  One rfft/irfft pair gives it as the linear correlation of hist
-with L laid twice end to end, read at lags s < N, which no length >= 2N
-wraps.  The length is the smallest 2^a 3^b 5^c >= 2N: numpy's pocketfft
-splits that into its fast radices, while a length with a large prime
-factor goes through Bluestein's algorithm at several times the cost.  The
+nothing).  Column t of the e x N grid of the first q-1 powers of gamma is
+the class gamma^t K, so L is k/2 times its column sums.  One rfft/irfft
+pair gives the correlation as the linear correlation of hist with L laid
+twice end to end, read at lags s < N, which no length >= 2N wraps.  The
+length is the smallest 2^a 3^b 5^c >= 2N: numpy's pocketfft splits that
+into its fast radices, while a length with a large prime factor goes
+through Bluestein's algorithm at several times the cost.  The
 representatives go _FFT_BLOCK histogram cells at a time, each block summed
 to one log-sum-exp, so the sum holds O(q) tables (L, the class of each
 element of F_q, the q+1 traces Tr(h z)) and one block, and its time
@@ -77,8 +77,8 @@ grows as (q^2/m) log q.  Its rounding is not that of a per-element sum;
 the two agree to about 1e-12 in log2 eps.
 
 A field of more than 1.5e6 elements (q at degree 1, q^2 at degree 2) sits
-behind long_run=True: the degree-1 sum holds (q-1)/m coset
-representatives, and the degree-2 time grows with q^2/m.
+behind long_run=True: the degree-1 sum holds the q-entry table and
+(q-1)/2 powers of gamma, and the degree-2 time grows with q^2/m.
 
 The field kit comes from the ffield module: root_of_unity and power_table
 in F_q, and in F_{q^2} = F_q[sqrt(w)], w = smallest_nonresidue(q),
@@ -103,7 +103,7 @@ from .rings import CycloRing, reduce_mod_prime_batch
 from .sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
 
 _LONG_RUN_FIELD = 1_500_000  # field elements: q at degree 1, q^2 at degree 2
-_ORBIT_BLOCK = 1 << 14  # dot products formed per pass of _orbit_logs
+_CLASS_BLOCK = 1 << 16  # grid cells gathered per block of _class_logs
 _FFT_BLOCK = 1 << 16  # histogram cells per block of _line_orbit_logs
 
 
@@ -136,42 +136,30 @@ def _logsumexp2(logs: np.ndarray) -> float:
     return top + math.log2(np.exp2(logs - top).sum())
 
 
-def _orbit_logs(coef: np.ndarray, reps: np.ndarray, q: int, k: int) -> np.ndarray:
-    """log2 of the term at each coset representative y, a column of reps:
-    k * sum_i log2|cos(pi x_i / q)| with x_i = coef[i] . y mod q.
+def _class_logs(q: int, rows: int, cols: int) -> np.ndarray:
+    """sum_{i < rows} log2|cos(pi gamma^(i cols + s) / q)| for each s < cols,
+    gamma = root_of_unity(q-1, q): the column sums of the first rows * cols
+    powers of gamma laid out as a rows x cols grid.
 
-    Every entry of coef and reps lies in [0, q), so the dot product is at
-    most d (q-1)^2 for d = coef.shape[1]: it is formed in int32 when that
-    bound is below 2^31, else in int64.  x mod q is x - q (x // q), exact
-    for x >= 0, and the residue indexes the table through a clipped take
-    that never clips.  The rows of coef go _ORBIT_BLOCK // reps.shape[1]
-    at a time (at least one) through buffers made once, so when there are
-    few cosets the ufunc calls are paid per block, not per row; the
-    gathered rows are added in order of i."""
+    Each entry is read from one q-entry table of log2|cos(pi x / q)|.  The
+    grid goes _CLASS_BLOCK // rows columns at a time through one buffer,
+    and each block is summed down its columns in order of i.  numpy sums a
+    one-column block pairwise instead, so a block holds at least two
+    columns when cols >= 2, and the last one ends at cols, overlapping the
+    block before it."""
     # q odd => no x hits q/2, so no cosine is exactly 0
     table = np.log2(np.abs(np.cos(np.pi * np.arange(q) / q)))
-    lane = np.int32 if coef.shape[1] * (q - 1) ** 2 < 2 ** 31 else np.int64
-    coef = coef.astype(lane)
-    reps = reps.astype(lane)
-    step = max(1, _ORBIT_BLOCK // reps.shape[1])
-    x = np.empty((min(step, len(coef)), reps.shape[1]), lane)
-    tmp = np.empty_like(x)
-    gathered = np.empty(x.shape)
-    logs = np.zeros(reps.shape[1])
-    for lo in range(0, len(coef), step):
-        block = coef[lo:lo + step]
-        xb, tb, gb = x[:len(block)], tmp[:len(block)], gathered[:len(block)]
-        np.multiply(block[:, :1], reps[0], out=xb)
-        for c in range(1, coef.shape[1]):
-            np.multiply(block[:, c:c + 1], reps[c], out=tb)
-            xb += tb
-        np.floor_divide(xb, q, out=tb)
-        tb *= q
-        xb -= tb
-        table.take(xb, out=gb, mode="clip")
-        for row in gb:
-            logs += row
-    return k * logs
+    grid = power_table(root_of_unity(q - 1, q), rows * cols, q).reshape(rows, cols)
+    step = min(cols, max(2, _CLASS_BLOCK // rows))
+    gathered = np.empty((rows, step))
+    logs = np.empty(cols)
+    for lo in range(0, cols, step):
+        lo = min(lo, cols - step)
+        # powers of gamma lie in [1, q): the clipped take never clips, and
+        # it fills the buffer without the copy a checked take makes
+        table.take(grid[:, lo:lo + step], out=gathered, mode="clip")
+        logs[lo:lo + step] = gathered.sum(axis=0)
+    return logs
 
 
 # ---------------------------------------------------------------- degree 1
@@ -234,10 +222,9 @@ def epsilon(m: int, q: int, k: int, long_run: bool = False) -> EstimateReport:
         # an in-order float sum of logarithms misses by a few ulps
         log2_eps = math.log2(m) - 1.0 - k * m // 2
     else:
-        g = root_of_unity(q - 1, q)
-        apow = power_table(pow(g, t, q), m // 2, q)  # alpha^i, i < n
-        reps = power_table(g, t, q)  # one y per coset of H in F_q*
-        log2_eps = _assemble_log2_eps(m, _orbit_logs(apow[:, None], reps[None, :], q, k))
+        # row i, column s of the grid is alpha^i gamma^s for alpha = gamma^t:
+        # the columns are one y per coset of H in F_q*
+        log2_eps = _assemble_log2_eps(m, k * _class_logs(q, m // 2, t))
     return EstimateReport(m, q, k, 1, log2_eps,
                           _bound_or_none(m, q, k), _beta_gauss(m, q),
                           (time.perf_counter() - t0) * 1e3)
@@ -298,10 +285,9 @@ def _line_orbit_logs(m: int, q: int, k: int):
     d = (q + 1) * e // m
     g = fq2_generator(q, w)
     alpha = fq2_pow(g, (q * q - 1) // m, q, w)  # order m
+    # K = <gamma^N>: column t of the e x N grid is the coset gamma^t K
+    lam = (0.5 * k) * _class_logs(q, e, big_n)
     gpow = power_table(root_of_unity(q - 1, q), q - 1, q)
-    # K = <gamma^N>: column t of the reshape is the coset gamma^t K; q odd,
-    # so no cosine is exactly 0
-    lam = (0.5 * k) * np.log2(np.abs(np.cos(np.pi * gpow / q))).reshape(e, big_n).sum(axis=0)
     size = _fft_size(2 * big_n)
     lam_hat = np.fft.rfft(np.tile(lam, 2), size)
     # the class of x in F_q^*/K, and bin N for x = 0 (Lambda(0) = 0)

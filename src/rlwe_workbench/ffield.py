@@ -157,13 +157,16 @@ def root_of_unity(order: int, q: int) -> int:
 @lru_cache(maxsize=64)
 def power_table(base: int, n: int, q: int) -> np.ndarray:
     """Read-only int64 array [base^0, ..., base^(n-1)] mod q, by doubling:
-    each step multiplies the filled prefix by base^filled."""
+    each step multiplies the filled prefix by base^filled, in place in the
+    next stretch of the array (no temporaries)."""
     out = np.empty(n, dtype=np.int64)
     filled, step = 1, base % q
     out[:1] = 1
     while filled < n:
         k = min(filled, n - filled)
-        out[filled:filled + k] = out[:k] * step % q
+        nxt = out[filled:filled + k]
+        np.multiply(out[:k], step, out=nxt)
+        np.remainder(nxt, q, out=nxt)
         filled += k
         step = step * step % q
     out.flags.writeable = False

@@ -31,11 +31,11 @@ import reference as ref
 from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
                                    VERDICT_NOT_RLWE, coset_attack,
                                    two_bin_attack)
-from rlwe_workbench.estimator import (_orbit_logs, brute_force_distance,
+from rlwe_workbench.estimator import (_class_logs, brute_force_distance,
                                       deg2_admissible, empirical_uniformity,
                                       epsilon, epsilon_deg2,
                                       nearest_admissible_q_deg2)
-from rlwe_workbench.ffield import is_prime
+from rlwe_workbench.ffield import is_prime, root_of_unity
 from rlwe_workbench.oracle import RlweInstance, draw_rlwe, draw_uniform
 from rlwe_workbench.rings import FamilyRing, reduce_mod_prime_batch
 from rlwe_workbench.sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
@@ -278,18 +278,22 @@ def test_criterion_5_epsilon_below_theoretical_bound(deg1_reports, deg2_reports)
 
 
 def test_criterion_6_fourier_correctness():
-    """Gate: the estimator's orbit kernel, through its own log2|cos| table,
-    reduction and gather, gives the direct DFT of V_k to 1e-12 at every y,
-    and the exact tiny-instance distance is 0.05 = eps * 0.4."""
+    """Gate: the estimator's per-class kernel, through its own log2|cos|
+    table and gather on a one-row grid, gives the direct DFT of V_k to
+    1e-12 at every y != 0, and the exact tiny-instance distance is
+    0.05 = eps * 0.4."""
     for q in (5, 13, 97):
+        gamma = root_of_unity(q - 1, q)
         for k in (2, 4, 8):
             pmf = ref.binomial_vk_pmf(k)
-            kernel = 2 ** _orbit_logs(np.array([[1]]), np.arange(q)[None, :], q, k)
-            for y in range(q):
+            kernel = 2 ** (k * _class_logs(q, 1, q - 1))  # at y = gamma^s
+            assert len(kernel) == q - 1
+            for s, value in enumerate(kernel):
+                y = pow(gamma, s, q)
                 dft = sum(p * np.exp(-2j * np.pi * (t - k // 2) * y / q)
                           for t, p in enumerate(pmf))
                 assert abs(dft.imag) < 1e-12
-                assert abs(dft.real - kernel[y]) < 1e-12
+                assert abs(dft.real - value) < 1e-12
     delta = brute_force_distance(4, 5, 2)
     assert delta == 0.05
     eps_tiny = 2 ** epsilon(4, 5, 2).log2_eps

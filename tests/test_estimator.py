@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 import reference as ref
-from reference import binomial_vk_pmf, gauss_sum_check
+from reference import gauss_sum_check
 from rlwe_workbench import estimator
 from rlwe_workbench.estimator import (EstimateReport, _brute_force_numerators,
-                                      _fft_size, _line_orbit_logs,
-                                      _logsumexp2, _orbit_logs,
+                                      _class_logs, _fft_size, _line_orbit_logs,
+                                      _logsumexp2,
                                       brute_force_distance, brute_force_pmf,
                                       deg2_admissible, empirical_uniformity,
                                       epsilon, epsilon_deg2,
                                       nearest_admissible_q_deg2,
                                       theoretical_bound)
 from rlwe_workbench.attack import critical_value
-from rlwe_workbench.ffield import (fq2_generator, fq2_pow, fq2_power_table,
-                                   root_of_unity, smallest_nonresidue)
+from rlwe_workbench.ffield import fq2_generator, root_of_unity, smallest_nonresidue
 from test_acceptance import full_grid_log2_eps_deg1, full_grid_log2_eps_deg2
 
 
@@ -139,49 +138,49 @@ def test_eps_below_2_to_the_minus_1100_matches_full_grid(estimate, m, q, k, full
     assert abs(rep.log2_eps - full_grid(m, q, k)) < 1e-9
 
 
-@pytest.mark.parametrize("estimate, m, q", [(epsilon, 64, 193), (epsilon, 512, 10753)])
-def test_orbit_logs_equal_per_element_formula(monkeypatch, estimate, m, q):
-    # the table gather gives exactly the per-element cosine and logarithm,
-    # added over i in order, on the inputs epsilon builds
+@pytest.mark.parametrize("block", [estimator._CLASS_BLOCK, 64])
+@pytest.mark.parametrize("estimate, m, q", [
+    (epsilon, 64, 193), (epsilon, 512, 10753),
+    # (q-1)^2 below and above 2^31, where the dot-product kernel that
+    # preceded _class_logs switched from int32 to int64
+    (epsilon, 64, 40961), (epsilon, 64, 47041),
+    (epsilon_deg2, 128, 1151),  # the e x N grid of Lambda
+])
+def test_class_logs_equal_per_element_formula(monkeypatch, estimate, m, q, block):
+    # the table gather gives exactly the per-element cosine and logarithm
+    # at alpha^i gamma^s, alpha = gamma^cols, added over i in order, on the
+    # grids epsilon and epsilon_deg2 build; at 64 cells the blocks are a
+    # few columns wide, and the last one overlaps the block before it
+    # where the width does not divide cols
     calls = []
 
     def spy(*args):
         calls.append(args)
-        return _orbit_logs(*args)
-    monkeypatch.setattr(estimator, "_orbit_logs", spy)
+        return _class_logs(*args)
+    monkeypatch.setattr(estimator, "_class_logs", spy)
+    monkeypatch.setattr(estimator, "_CLASS_BLOCK", block)
     estimate(m, q, 2)
-    (coef, reps, q_, k), = calls
-    assert q_ == q and coef.shape[0] == m // 2
-    want = np.zeros(reps.shape[1])
-    for row in coef:
-        x = row @ reps % q
+    (q_, rows, cols), = calls
+    e = math.gcd(m, q - 1)
+    assert (q_, rows, cols) == ((q, m // 2, (q - 1) // m) if estimate is epsilon
+                                else (q, e, (q - 1) // e))
+    gamma = root_of_unity(q - 1, q)
+    alpha = pow(gamma, cols, q)
+    c = np.array([pow(gamma, s, q) for s in range(cols)])
+    want = np.zeros(cols)
+    for i in range(rows):
+        x = pow(alpha, i, q) * c % q
         want += np.log2(np.abs(np.cos(np.pi * x / q)))
-    assert np.array_equal(_orbit_logs(coef, reps, q, k), k * want)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("q", [32749, 32771])
-def test_orbit_logs_at_the_integer_lane_boundary(q, d):
-    # the dot products reach d (q-1)^2: at d = 2 that fits int32 at
-    # q = 32749 and not at q = 32771; residues here are Python integers
-    assert (2 * (q - 1) ** 2 < 2 ** 31) == (q == 32749)
-    rng = np.random.default_rng(q)
-    coef = rng.integers(0, q, size=(12, d))
-    reps = rng.integers(0, q, size=(d, 40))
-    coef[:4] = [[q - 1] * d, [0] * d, [1] * d, [q - 1] + [0] * (d - 1)]
-    reps[:, :4] = np.array([[q - 1] * d, [0] * d, [1] * d, [0] * (d - 1) + [q - 1]]).T
-    want = np.zeros(reps.shape[1])
-    for row in coef.tolist():
-        x = [sum(c * y for c, y in zip(row, col)) % q for col in reps.T.tolist()]
-        want += np.log2(np.abs(np.cos(np.pi * np.array(x) / q)))
-    assert np.array_equal(_orbit_logs(coef, reps, q, 4), 4 * want)
+    assert np.array_equal(_class_logs(q, rows, cols), want)
 
 
 # bits of log2_eps on every estimate-table row of the benchmark at k = 2,
 # and on Kyber's and Dilithium's rings at k = 4, as first pinned.  The
 # degree-2 bits were those of one table gather per Frobenius orbit of
 # cosets; the correlation kernel moved each by less than 1e-12, and its
-# bits are DEG2_REPINNED[first bits]
+# bits are DEG2_REPINNED[first bits].  The degree-1 rows after Dilithium's
+# were pinned from the int32/int64 dot-product kernel that preceded
+# _class_logs: small and large q, m up to 1024, and k up to 16
 PINNED_LOG2_EPS = [
     (epsilon, 64, 193, 2, "-0x1.4ab2334020898p+5"),
     (epsilon, 128, 1153, 2, "-0x1.8772444c5c1dap+6"),
@@ -193,6 +192,16 @@ PINNED_LOG2_EPS = [
     (epsilon_deg2, 512, 5119, 2, "-0x1.28da7f0f1e963p+8"),
     (epsilon_deg2, 512, 3329, 4, "-0x1.7525b6820b720p+8"),
     (epsilon, 512, 8380417, 4, "-0x1.68c74afed92cfp+9"),
+    (epsilon, 16, 97, 2, "-0x1.1efec61b011f8p+2"),
+    (epsilon, 32, 97, 2, "-0x1.5492734ac4f33p+4"),
+    (epsilon, 8, 41, 4, "-0x1.dcf4440bcb02ap+1"),
+    (epsilon, 512, 12289, 2, "-0x1.8f6bbe7c103d0p+8"),
+    (epsilon, 1024, 12289, 2, "-0x1.c5ac5f825245bp+9"),
+    (epsilon, 256, 7681, 4, "-0x1.8f09a48fed280p+8"),
+    (epsilon, 64, 18433, 2, "-0x1.1e2eb8e162c55p+4"),
+    (epsilon, 512, 8380417, 2, "-0x1.6479337826e0cp+8"),
+    (epsilon, 512, 10753, 6, "-0x1.3e49da67f9fa4p+10"),
+    (epsilon, 512, 10753, 16, "-0x1.aa0d23354d4dap+11"),
 ]
 
 
@@ -357,35 +366,7 @@ def test_fft_size_is_the_smallest_5_smooth_length():
     assert _fft_size(2 * 20015) == 40500  # (64, 40031): 2^2 3^4 5^3
 
 
-@pytest.mark.parametrize("m, q", [(64, 383), (128, 1151)])
-def test_deg2_coset_terms_are_frobenius_invariant(m, q):
-    # the term at coset g^j H equals the term at g^(jq mod t) H
-    w = smallest_nonresidue(q)
-    t = (q * q - 1) // m
-    g = fq2_generator(q, w)
-    u, v = fq2_power_table(g, t, q, w)
-    cs, ds = fq2_power_table(fq2_pow(g, t, q, w), m // 2 + 1, q, w)
-    coef = np.stack([2 * cs[1:] % q, 2 * ds[1:] * w % q], axis=1)
-    logs = _orbit_logs(coef, np.stack([u, v]), q, 2)
-    j = np.arange(t)
-    assert np.abs(logs - logs[j * q % t]).max() < 1e-12
-
-
 # ------------------------------------------------------- model-level oracles
-
-def test_orbit_logs_is_the_vk_characteristic_function():
-    # the kernel's own table, reduction and gather at coef = 1, every y in
-    # F_q: 2^(k log2|cos(pi y/q)|) against the direct DFT of V_k
-    for q in (5, 13, 97):
-        for k in (2, 4, 8):
-            pmf = binomial_vk_pmf(k)
-            kernel = 2 ** _orbit_logs(np.array([[1]]), np.arange(q)[None, :], q, k)
-            for y in range(q):
-                dft = sum(p * np.exp(-2j * np.pi * (t - k // 2) * y / q)
-                          for t, p in enumerate(pmf))
-                assert abs(dft.imag) < 1e-12
-                assert abs(dft.real - kernel[y]) < 1e-12
-
 
 def test_brute_force_pmf_frozen():
     for alpha in (2, 3):
