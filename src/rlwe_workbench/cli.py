@@ -25,7 +25,8 @@ import sys
 from . import family as family_mod
 from . import oracle as oracle_mod
 from .attack import AttackConfig, coset_attack, two_bin_attack
-from .estimator import _LONG_RUN_FIELD, empirical_uniformity, epsilon, epsilon_deg2
+from .estimator import (_LONG_RUN_FIELD, EMPIRICAL_CONFIDENCE, empirical_uniformity,
+                        epsilon, epsilon_deg2)
 from .oracle import RlweInstance, SampleFileError
 from .sampling import MAX_TAIL_CUT, BinomialSpec, GaussianSpec, WidthError
 
@@ -150,8 +151,9 @@ def cmd_estimate(args) -> int:
             emp = empirical_uniformity(args.m, args.q, args.r0, count, args.seed)
         header += ",chi2_empirical,uniform"
         row += ",%.4f,%s" % (emp.chi2, "yes" if emp.uniform else "no")
-        _note("uniform: %s (chi2 %.2f vs critical %.2f at 0.99)"
-              % ("yes" if emp.uniform else "no", emp.chi2, emp.critical))
+        _note("uniform: %s (chi2 %.2f vs critical %.2f at %g)"
+              % ("yes" if emp.uniform else "no", emp.chi2, emp.critical,
+                 EMPIRICAL_CONFIDENCE))
     with _out_stream(args.out) as fh:
         fh.write(header + "\n")
         fh.write(row + "\n")

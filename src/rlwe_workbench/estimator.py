@@ -1,6 +1,5 @@
 """Fourier-analytic distance-from-uniform estimates for 2-power cyclotomic
-RLWE error distributions, plus small-instance brute-force oracles and the
-seeded empirical uniformity experiment.
+RLWE error distributions, and the seeded empirical uniformity experiment.
 
 The central quantity, for m a power of 2, n = m/2, q prime with a root
 alpha of order m, and even k >= 2:
@@ -22,19 +21,19 @@ H.  Two consequences used throughout:
   * eps(m, q, k, alpha) is the same for every root alpha of exact order m
     (they all generate H), so one computation gives the maximum over all
     phi(m) of them;
-  * the y-sum needs one term per coset, (q-1)/m of them, n table gathers
-    each: (q-1)/2 gathers total instead of n*(q-1) cosine evaluations.
+  * the y-sum needs one term per coset, (q-1)/m of them, n cosines each:
+    (q-1)/2 cosine evaluations in total instead of n*(q-1).
 
 At degree 1, write alpha = gamma^t for gamma = root_of_unity(q-1, q) and
 t = (q-1)/m.  The first n t = (q-1)/2 powers of gamma, laid out as an
 n x t grid, hold alpha^i gamma^s at row i, column s: the columns run over
 one y = gamma^s per coset of H, the rows over i < n.  Each term is k times
-the sum down its column, in order of i, of n gathers from one q-entry
-table of log2|cos(pi x / q)|; the grid is one reshape of power_table, and
-no product or reduction mod q is formed.  Degree 2 reads the same table
-down an e x N grid of the powers of gamma (see below); both go through
-_class_logs.  Values reach 2^-1600 at larger k; the terms are summed by
-max-shifted exponent accumulation, with none dropped.
+the sum down its column, in order of i, of log2|cos(pi x / q)| evaluated
+at its n cells; the grid is one reshape of power_table, its cells are
+distinct, and no product or reduction mod q is formed.  Degree 2 sums the
+same way down an e x N grid of the powers of gamma (see below); both go
+through _class_logs.  Values reach 2^-1600 at larger k; the terms are
+summed by max-shifted exponent accumulation, with none dropped.
 
 The degree-2 variant replaces F_q by F_{q^2} (alpha of order m | q^2-1,
 m not dividing q-1) and puts a trace inside the cosine:
@@ -77,8 +76,8 @@ grows as (q^2/m) log q.  Its rounding is not that of a per-element sum;
 the two agree to about 1e-12 in log2 eps.
 
 A field of more than 1.5e6 elements (q at degree 1, q^2 at degree 2) sits
-behind long_run=True: the degree-1 sum holds the q-entry table and
-(q-1)/2 powers of gamma, and the degree-2 time grows with q^2/m.
+behind long_run=True: the degree-1 sum holds (q-1)/2 powers of gamma, and
+the degree-2 time grows with q^2/m.
 
 The field kit comes from the ffield module: root_of_unity and power_table
 in F_q, and in F_{q^2} = F_q[sqrt(w)], w = smallest_nonresidue(q),
@@ -92,7 +91,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -103,7 +102,7 @@ from .rings import CycloRing, reduce_mod_prime_batch
 from .sampling import GaussianSpec, RngHandle, sample_lattice_gauss_batch
 
 _LONG_RUN_FIELD = 1_500_000  # field elements: q at degree 1, q^2 at degree 2
-_CLASS_BLOCK = 1 << 16  # grid cells gathered per block of _class_logs
+_CLASS_BLOCK = 1 << 16  # grid cells evaluated per block of _class_logs
 _FFT_BLOCK = 1 << 16  # histogram cells per block of _line_orbit_logs
 
 
@@ -124,11 +123,6 @@ def _check_mk(m: int, k: int) -> None:
         raise ValueError("k=%d is not an even integer >= 2" % k)
 
 
-def _has_order_m(alpha: int, m: int, q: int) -> bool:
-    # for 2-power m: order | m and order does not divide m/2
-    return pow(alpha, m, q) == 1 and pow(alpha, m // 2, q) == q - 1
-
-
 def _logsumexp2(logs: np.ndarray) -> float:
     if logs.size == 0:
         return -math.inf
@@ -141,24 +135,21 @@ def _class_logs(q: int, rows: int, cols: int) -> np.ndarray:
     gamma = root_of_unity(q-1, q): the column sums of the first rows * cols
     powers of gamma laid out as a rows x cols grid.
 
-    Each entry is read from one q-entry table of log2|cos(pi x / q)|.  The
-    grid goes _CLASS_BLOCK // rows columns at a time through one buffer,
-    and each block is summed down its columns in order of i.  numpy sums a
-    one-column block pairwise instead, so a block holds at least two
-    columns when cols >= 2, and the last one ends at cols, overlapping the
-    block before it."""
-    # q odd => no x hits q/2, so no cosine is exactly 0
-    table = np.log2(np.abs(np.cos(np.pi * np.arange(q) / q)))
+    The grid's cells are distinct powers of gamma, so each cosine is
+    evaluated once, at its own cell.  The grid goes _CLASS_BLOCK // rows
+    columns at a time, and each block is summed down its columns in order
+    of i.  numpy sums a one-column block pairwise instead, so a block holds
+    at least two columns when cols >= 2, and the last one ends at cols,
+    overlapping the block before it."""
     grid = power_table(root_of_unity(q - 1, q), rows * cols, q).reshape(rows, cols)
     step = min(cols, max(2, _CLASS_BLOCK // rows))
-    gathered = np.empty((rows, step))
     logs = np.empty(cols)
     for lo in range(0, cols, step):
         lo = min(lo, cols - step)
-        # powers of gamma lie in [1, q): the clipped take never clips, and
-        # it fills the buffer without the copy a checked take makes
-        table.take(grid[:, lo:lo + step], out=gathered, mode="clip")
-        logs[lo:lo + step] = gathered.sum(axis=0)
+        # q odd => no power of gamma is q/2, so no cosine is exactly 0; one
+        # expression, so each temporary is freed once the next is made
+        logs[lo:lo + step] = np.log2(
+            np.abs(np.cos(np.pi * grid[:, lo:lo + step] / q))).sum(axis=0)
     return logs
 
 
@@ -330,62 +321,10 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
                           (time.perf_counter() - t0) * 1e3)
 
 
-# ------------------------------------------------------- brute-force oracles
-
-def _brute_force_numerators(m: int, q: int, k: int, alpha: int) -> List[int]:
-    """Exact counts (over 2^(kn)) of sum_i alpha^i e_i mod q, e_i i.i.d. V_k.
-
-    The convolution takes n*q*(k+1) steps, n = m/2; refused above 2^22.
-    """
-    _check_mk(m, k)
-    n = m // 2
-    steps = n * q * (k + 1)
-    if steps > 1 << 22:
-        raise ValueError("n*q*(k+1) = %d too large for exact convolution" % steps)
-    if not _has_order_m(alpha % q, m, q):
-        raise ValueError("alpha=%d does not have exact order %d mod %d" % (alpha, m, q))
-    shifts = [t - k // 2 for t in range(k + 1)]
-    weights = [math.comb(k, t) for t in range(k + 1)]
-    dist = [0] * q
-    dist[0] = 1
-    a = 1
-    for _ in range(n):
-        nxt = [0] * q
-        for val, cnt in enumerate(dist):
-            if cnt:
-                for sh, wt in zip(shifts, weights):
-                    nxt[(val + a * sh) % q] += cnt * wt
-        dist = nxt
-        a = a * alpha % q
-    return dist
-
-
-def brute_force_pmf(m: int, q: int, k: int, alpha: int) -> np.ndarray:
-    """Exact pmf of sum_i alpha^i e_i mod q as floats (numerators exact)."""
-    numer = _brute_force_numerators(m, q, k, alpha)
-    total = 2 ** (k * (m // 2))
-    return np.array([c / total for c in numer], dtype=np.float64)
-
-
-def brute_force_distance(m: int, q: int, k: int) -> float:
-    """Exact statistical distance, the same for every primitive root alpha.
-
-    Delta(e_alpha, uniform) = (1/2) sum_a |pmf(a) - 1/q|, evaluated in
-    integer arithmetic before the one final division.  One root suffices:
-    for any alpha of exact order m, {alpha^i : i < n} is a transversal of
-    the +/- pairs of H, and V_k is symmetric, so alpha^i e_i and -alpha^i e_i
-    have one distribution and every root gives the same pmf.
-    """
-    if not (is_prime(q) and (q - 1) % m == 0):
-        raise ValueError("need q prime with q = 1 (mod m); got q=%d, m=%d" % (q, m))
-    numer = _brute_force_numerators(m, q, k, root_of_unity(m, q))
-    total = 2 ** (k * (m // 2))
-    return sum(abs(c * q - total) for c in numer) / (2 * q * total)
-
-
 # ------------------------------------------------- empirical uniformity runs
 
 _EMPIRICAL_DRAWS = 1 << 16  # coefficients drawn and reduced at a time
+EMPIRICAL_CONFIDENCE = 0.99  # of the chi-square test against uniform
 
 
 @dataclass
@@ -399,8 +338,8 @@ class EmpiricalResult:
     uniform: bool
 
 
-def empirical_uniformity(m: int, q: int, r0: float, count: int, seed: int,
-                         confidence: float = 0.99) -> EmpiricalResult:
+def empirical_uniformity(m: int, q: int, r0: float, count: int,
+                         seed: int) -> EmpiricalResult:
     """Seeded experiment: draw `count` ring errors of per-coefficient width
     r0 (i.e. r = r0 * sqrt(n) before discriminant normalization), reduce
     through rho into F_q, and chi-square the histogram against uniform.
@@ -421,5 +360,5 @@ def empirical_uniformity(m: int, q: int, r0: float, count: int, seed: int,
         counts += np.bincount(reduce_mod_prime_batch(coeffs, ring), minlength=q)
     exp = count / q
     chi2 = float(((counts - exp) ** 2).sum() / exp)
-    crit = critical_value(q - 1, confidence)
+    crit = critical_value(q - 1, EMPIRICAL_CONFIDENCE)
     return EmpiricalResult(m, q, r0, count, chi2, crit, chi2 <= crit)

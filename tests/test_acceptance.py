@@ -1,8 +1,9 @@
 """Acceptance gate: the nine workbench-level criteria, one test each.
 
 Each test asserts what the method promises at the gate rows.  Criteria 1,
-3 and 4 back their assertions with a computation made inside this module,
-independent of the code under test:
+3, 4 and 6 back their assertions with a computation from reference.py,
+which imports nothing from the library, so it is independent of the code
+under test:
 
 * criterion 1 computes the exact probability that the sqrt(d)-block of the
   error collapses to zero (`block_collapse_probability`), the only event the
@@ -11,9 +12,11 @@ independent of the code under test:
 * criteria 3 and 4 evaluate the estimator's defining character sum term by
   term over every y != 0 (`full_grid_log2_eps_deg1`/`_deg2`), with their
   own root search and no orbit collapsing, in F_{q^2} through the tuple
-  model of reference.py, which imports nothing from the library.
+  model of reference.py;
+* criterion 6 takes the exact tiny-case distance from the brute-force
+  convolution (`brute_force_distance`).
 
-The reported target columns of these three criteria (recovery at the
+The reported target columns of criteria 1, 3 and 4 (recovery at the
 printed widths; floors 40/97/194/431 and 31/54/159) are kept below for the
 record.  Nothing in the repository derives them; README's acceptance table
 gives the measured values beside them and the cause of each difference.
@@ -28,10 +31,12 @@ import pytest
 import scipy.stats
 
 import reference as ref
+from reference import (block_collapse_probability, brute_force_distance,
+                       full_grid_log2_eps_deg1, full_grid_log2_eps_deg2)
 from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
                                    VERDICT_NOT_RLWE, coset_attack,
                                    two_bin_attack)
-from rlwe_workbench.estimator import (_class_logs, brute_force_distance,
+from rlwe_workbench.estimator import (_class_logs,
                                       deg2_admissible, empirical_uniformity,
                                       epsilon, epsilon_deg2,
                                       nearest_admissible_q_deg2)
@@ -62,78 +67,6 @@ def deg2_reports():
     m, q, _ = DEG2_LONG_RUN
     reports[(m, q)] = epsilon_deg2(m, q, 2, long_run=True)
     return reports
-
-
-# ------------------------------------------------------ independent oracles
-
-def block_collapse_probability(p: int, width: float) -> float:
-    """Exact P(e2 = 0) for e2 ~ D_{L, width}, weight exp(-||x||^2 / width^2),
-    where L is the embedded Z[zeta_p] (Gram p*I - J, i.e. sqrt(p) A*_{p-1}).
-
-    P = 1 / Theta_L(width).  L is sqrt(p) times the projection of Z^p onto
-    the sum-zero hyperplane, with squared norm p*||x||^2 - (sum x)^2.
-    Integrating the Gaussian out along the all-ones direction gives
-
-        Theta_L(w) = p / (sqrt(pi) w) * int_0^1 theta(t)^p dt,
-        theta(t)   = sum_{k in Z} exp(-p (k - t)^2 / w^2).
-
-    The integrand is smooth and 1-periodic, so the rectangle rule on 2^14
-    points converges geometrically; it is summed in log space because
-    Theta reaches 1e24 at the attack rows' printed widths.
-    """
-    a = p / (width * width)
-    t = np.arange(1 << 14) / (1 << 14)
-    cut = int(math.ceil(12.0 * width / math.sqrt(p))) + 2
-    k = np.arange(-cut, cut + 1)
-    log_theta_p = p * np.log(np.exp(-a * (k[None, :] - t[:, None]) ** 2).sum(axis=1))
-    top = log_theta_p.max()
-    log_integral = top + math.log(np.exp(log_theta_p - top).mean())
-    return math.exp(-(math.log(p / (math.sqrt(math.pi) * width)) + log_integral))
-
-
-def _log2_sum_exp2(logs: np.ndarray) -> float:
-    top = float(logs.max())
-    return top + math.log2(np.exp2(logs - top).sum())
-
-
-def full_grid_log2_eps_deg1(m: int, q: int, k: int) -> float:
-    """log2 of (1/2) sum_{y=1}^{q-1} prod_{i<n} cos(pi alpha^i y / q)^k, one
-    term per y, for the smallest alpha with alpha^(m/2) = -1 mod q."""
-    n = m // 2
-    alpha = next(a for a in range(2, q) if pow(a, n, q) == q - 1)
-    apow = np.array([pow(alpha, i, q) for i in range(n)], dtype=np.int64)
-    y = np.arange(1, q, dtype=np.int64)
-    terms = k * np.log2(np.abs(np.cos(np.pi * (apow[:, None] * y % q) / q))).sum(axis=0)
-    return _log2_sum_exp2(terms) - 1.0
-
-
-def full_grid_log2_eps_deg2(m: int, q: int, k: int) -> float:
-    """log2 of (1/2) sum_{y != 0 in F_{q^2}} prod_{i=1}^{n} cos(pi Tr(alpha^i y) / q)^k,
-    one term per y.
-
-    The field is F_q[s]/(s^2 - c) for the largest non-residue c (the
-    estimator uses the smallest), Tr(u + v s) = 2u, and alpha is the first
-    element in scan order with alpha^(m/2) = -1.
-    """
-    n = m // 2
-    c = next(x for x in range(q - 1, 1, -1) if pow(x, (q - 1) // 2, q) == q - 1)
-    alpha = next((u, v) for u in range(q) for v in range(q)
-                 if ref.fq2_pow((u, v), n, q, c) == (q - 1, 0))
-    apow = [alpha]
-    for _ in range(n - 1):
-        apow.append(ref.fq2_mul(apow[-1], alpha, q, c))
-    a = np.array([x[0] for x in apow], dtype=np.int64)
-    bc = np.array([x[1] * c % q for x in apow], dtype=np.int64)
-    t = np.arange(q)
-    # first coordinate of alpha^i * (u + v s) is a_i u + b_i c v; the table
-    # maps that value (unreduced, in [0, 2q)) to k * log2|cos(pi Tr / q)|
-    log_cos = np.tile(k * np.log2(np.abs(np.cos(np.pi * (2 * t % q) / q))), 2)
-    from_v = bc[:, None] * t[None, :] % q
-    terms = []
-    for u in range(q):
-        row = log_cos[a[:, None] * u % q + from_v].sum(axis=0)
-        terms.append(row if u else row[1:])  # skip y = 0
-    return _log2_sum_exp2(np.concatenate(terms)) - 1.0
 
 
 def test_block_collapse_probability_oracle():
@@ -278,10 +211,9 @@ def test_criterion_5_epsilon_below_theoretical_bound(deg1_reports, deg2_reports)
 
 
 def test_criterion_6_fourier_correctness():
-    """Gate: the estimator's per-class kernel, through its own log2|cos|
-    table and gather on a one-row grid, gives the direct DFT of V_k to
-    1e-12 at every y != 0, and the exact tiny-instance distance is
-    0.05 = eps * 0.4."""
+    """Gate: the estimator's per-class kernel, on a one-row grid, gives the
+    direct DFT of V_k to 1e-12 at every y != 0, and the exact tiny-instance
+    distance is 0.05 = eps * 0.4."""
     for q in (5, 13, 97):
         gamma = root_of_unity(q - 1, q)
         for k in (2, 4, 8):

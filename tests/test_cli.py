@@ -426,7 +426,7 @@ def test_estimate_deg2_gates(capsys):
 
 
 def test_estimate_deg1_field_size_gate(capsys):
-    # a q-entry table and (q - 1)/m coset representatives: refused at once
+    # (q - 1)/2 powers of a generator of F_q^*: refused at once
     # above 1.5e6 elements without --long-run, as degree 2 is above q^2 = 1.5e6
     code, out, err = run(capsys, "estimate", "--m", "2", "--q", "1000000007")
     assert code == 2 and out == ""

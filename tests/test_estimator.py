@@ -1,24 +1,24 @@
 """Fourier-analytic distinguishing-advantage estimates, degree 1 and 2."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference as ref
-from reference import gauss_sum_check
+from reference import (_brute_force_numerators, brute_force_distance, brute_force_pmf,
+                       full_grid_log2_eps_deg1, full_grid_log2_eps_deg2, gauss_sum_check)
 from rlwe_workbench import estimator
-from rlwe_workbench.estimator import (EstimateReport, _brute_force_numerators,
-                                      _class_logs, _fft_size, _line_orbit_logs,
-                                      _logsumexp2,
-                                      brute_force_distance, brute_force_pmf,
+from rlwe_workbench.estimator import (EstimateReport, _class_logs, _fft_size,
+                                      _line_orbit_logs, _logsumexp2,
                                       deg2_admissible, empirical_uniformity,
                                       epsilon, epsilon_deg2,
                                       nearest_admissible_q_deg2,
                                       theoretical_bound)
 from rlwe_workbench.attack import critical_value
-from rlwe_workbench.ffield import fq2_generator, root_of_unity, smallest_nonresidue
-from test_acceptance import full_grid_log2_eps_deg1, full_grid_log2_eps_deg2
+from rlwe_workbench.ffield import (fq2_generator, power_table, root_of_unity,
+                                   smallest_nonresidue)
 
 
 # ------------------------------------------------------------ exact anchors
@@ -147,7 +147,7 @@ def test_eps_below_2_to_the_minus_1100_matches_full_grid(estimate, m, q, k, full
     (epsilon_deg2, 128, 1151),  # the e x N grid of Lambda
 ])
 def test_class_logs_equal_per_element_formula(monkeypatch, estimate, m, q, block):
-    # the table gather gives exactly the per-element cosine and logarithm
+    # _class_logs gives exactly the per-element cosine and logarithm
     # at alpha^i gamma^s, alpha = gamma^cols, added over i in order, on the
     # grids epsilon and epsilon_deg2 build; at 64 cells the blocks are a
     # few columns wide, and the last one overlaps the block before it
@@ -172,6 +172,20 @@ def test_class_logs_equal_per_element_formula(monkeypatch, estimate, m, q, block
         x = pow(alpha, i, q) * c % q
         want += np.log2(np.abs(np.cos(np.pi * x / q)))
     assert np.array_equal(_class_logs(q, rows, cols), want)
+
+
+def test_class_logs_builds_no_q_entry_array():
+    # the degree-1 grid of (64, 786433): 32 x 12288 cells, each evaluated
+    # where it lies; a q-entry table of float64 logarithms alone is 8 q bytes
+    q, rows, cols = 786433, 32, 12288
+    power_table(root_of_unity(q - 1, q), rows * cols, q)  # cached, as in a run
+    tracemalloc.start()
+    try:
+        _class_logs(q, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * q, peak / q
 
 
 # bits of log2_eps on every estimate-table row of the benchmark at k = 2,
@@ -227,23 +241,10 @@ def _naive_deg2(m: int, q: int, k: int) -> float:
     """Independent arithmetic in F_{q^2} = F_q[s]/(s^2 - w): scan for an
     order-m element, then sum the trace-cosine product over all y != 0."""
     w = next(v for v in range(2, q) if pow(v, (q - 1) // 2, q) == q - 1)
-
-    def mul(a, b):
-        return ((a[0] * b[0] + a[1] * b[1] * w) % q, (a[0] * b[1] + a[1] * b[0]) % q)
-
-    def power(a, e):
-        out, base = (1, 0), a
-        while e:
-            if e & 1:
-                out = mul(out, base)
-            base = mul(base, base)
-            e >>= 1
-        return out
-
     alpha = next((u, v) for u in range(q) for v in range(q)
-                 if (u, v) != (0, 0) and power((u, v), m) == (1, 0)
-                 and power((u, v), m // 2) != (1, 0))
-    apow = [power(alpha, i) for i in range(m // 2)]
+                 if (u, v) != (0, 0) and ref.fq2_pow((u, v), m, q, w) == (1, 0)
+                 and ref.fq2_pow((u, v), m // 2, q, w) != (1, 0))
+    apow = [ref.fq2_pow(alpha, i, q, w) for i in range(m // 2)]
     total = 0.0
     for yu in range(q):
         for yv in range(q):
@@ -251,7 +252,7 @@ def _naive_deg2(m: int, q: int, k: int) -> float:
                 continue
             prod = 1.0
             for ai in apow:
-                z = mul(ai, (yu, yv))
+                z = ref.fq2_mul(ai, (yu, yv), q, w)
                 prod *= math.cos(math.pi * (2 * z[0] % q) / q) ** k
             total += prod
     return math.log2(total / 2.0)
