@@ -55,11 +55,15 @@ def _width_flag(flag: str, value):
                          "would exceed %d" % (flag, value, MAX_TAIL_CUT)) from None
 
 
+def _check_r0(r0: float) -> None:
+    if not (math.isfinite(r0) and r0 > 0):
+        raise ValueError("--r0 must be finite and positive, got %r" % r0)
+
+
 # ------------------------------------------------------------- find-params
 
 def cmd_find_params(args) -> int:
-    if not (math.isfinite(args.r0) and args.r0 > 0):
-        raise ValueError("--r0 must be finite and positive, got %r" % args.r0)
+    _check_r0(args.r0)
     range_mode = args.q_min is not None or args.q_max is not None
     extend_mode = args.q is not None or args.k_max is not None
     if range_mode == extend_mode:
@@ -134,8 +138,10 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------- estimate
 
 def cmd_estimate(args) -> int:
-    if args.empirical and args.degree != 1:
-        raise ValueError("--empirical reduces into F_q and needs --degree 1")
+    if args.empirical:
+        if args.degree != 1:
+            raise ValueError("--empirical reduces into F_q and needs --degree 1")
+        _check_r0(args.r0)
     if args.degree == 1:
         report = epsilon(args.m, args.q, args.k, long_run=args.long_run)
     else:

@@ -329,10 +329,6 @@ EMPIRICAL_CONFIDENCE = 0.99  # of the chi-square test against uniform
 
 @dataclass
 class EmpiricalResult:
-    m: int
-    q: int
-    r0: float
-    count: int
     chi2: float
     critical: float
     uniform: bool
@@ -361,4 +357,4 @@ def empirical_uniformity(m: int, q: int, r0: float, count: int,
     exp = count / q
     chi2 = float(((counts - exp) ** 2).sum() / exp)
     crit = critical_value(q - 1, EMPIRICAL_CONFIDENCE)
-    return EmpiricalResult(m, q, r0, count, chi2, crit, chi2 <= crit)
+    return EmpiricalResult(chi2, crit, chi2 <= crit)

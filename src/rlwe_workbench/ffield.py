@@ -2,8 +2,9 @@
 
 The extension is realized concretely as F_q[x]/(x^2 - w) for a quadratic
 nonresidue w, so an element is a coordinate pair (u, v) = u + v*sqrt(w).
-Everything here is exact integer arithmetic; q stays well inside a machine
-word for every parameter set this project touches (q <= ~11000).
+Everything here is exact integer arithmetic: Python ints at any size, and
+int64 arrays whose products stay below 2 q^2, so exact for q < 2^31, which
+covers every modulus this project runs (Dilithium's q = 8380417 included).
 
 This module is the one home of the field kit the attacks and the estimator
 share: roots of unity mod q and their power tables, and in F_{q^2} one
@@ -15,7 +16,7 @@ or of int64 arrays alike, so the estimator's orbit walk stays vectorised.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -36,14 +37,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    # trial division for small n, fixed-base strong pseudoprime battery beyond
-    if n < 1 << 20:
-        f = 101
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -82,41 +75,24 @@ def smallest_nonresidue(q: int) -> int:
 
 
 class FieldCtx:
-    """A prime q together with the realization F_{q^2} = F_q[sqrt(d_red)].
+    """alpha_p, the (p, d, q) family's element of order p in F_q^* (the
+    image of a p-th root of unity under reduction).
 
-    d_red must be a quadratic nonresidue mod q.  alpha_p, when set, is an
-    element of multiplicative order p in F_q^* (the image of a p-th root of
-    unity under reduction).  No pipeline builds one: the reduction map takes
-    its root from rings.FamilyRing.alpha(), which for_family matches, and
-    the estimator passes w to the fq2_* functions itself.  It is kept
-    because the benchmark (bench/workloads.py) reads for_family(...).alpha_p
-    as the program's root, and its traced runs time for_family.
+    No pipeline builds one: the reduction map takes its root from
+    rings.FamilyRing.alpha(), which for_family matches.  It is kept because
+    the benchmark (bench/workloads.py) reads for_family(...).alpha_p as the
+    program's root, and its traced runs time for_family.
     """
 
-    __slots__ = ("q", "d_red", "alpha_p")
+    __slots__ = ("alpha_p",)
 
-    def __init__(self, q: int, d_red: Optional[int] = None, alpha_p: Optional[int] = None):
-        if q == 2 or not is_prime(q):
-            raise ValueError("FieldCtx: q = %d is not an odd prime" % q)
-        if d_red is None:
-            d_red = smallest_nonresidue(q)
-        d_red %= q
-        if legendre(d_red, q) != -1:
-            raise ValueError("FieldCtx: d_red = %d is not a nonresidue mod %d" % (d_red, q))
-        if alpha_p is not None:
-            alpha_p %= q
-            if alpha_p == 1 or alpha_p == 0:
-                raise ValueError("FieldCtx: alpha_p must have order > 1")
-        self.q = q
-        self.d_red = d_red
+    def __init__(self, alpha_p: int):
         self.alpha_p = alpha_p
 
     @classmethod
     def for_family(cls, p: int, d: int, q: int) -> "FieldCtx":
-        """Context for the (p, d, q) family: d reduced mod q defines the
-        extension (valid exactly because (d/q) = -1), and alpha_p is a fixed
-        element of order p."""
-        return cls(q, d_red=d % q, alpha_p=root_of_unity(p, q))
+        """The family's root_of_unity(p, q); d does not change it."""
+        return cls(root_of_unity(p, q))
 
 
 def _prime_factors(n: int) -> List[int]:

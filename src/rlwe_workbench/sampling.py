@@ -60,7 +60,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -150,12 +150,13 @@ def _dgauss_table(r: float, cut: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return support, cdf, guide
 
 
-def sample_dgauss_z(spec: GaussianSpec, rng: RngHandle, size: Optional[int] = None):
-    """Integer(s) t with probability proportional to exp(-t^2/r^2): for each
-    uniform u, support[min(searchsorted(cdf, u, "right"), len - 1)]."""
+def sample_dgauss_z(spec: GaussianSpec, rng: RngHandle, size: int) -> np.ndarray:
+    """`size` int64 integers t with probability proportional to
+    exp(-t^2/r^2): for each uniform u, support[min(searchsorted(cdf, u,
+    "right"), len - 1)]."""
     cut = spec.cut()
     support, cdf, guide = _dgauss_table(spec.r, cut)
-    n = 1 if size is None else int(size)
+    n = int(size)
     out = np.empty(n, dtype=np.int64)
     bucket = np.empty(min(n, _CHUNK), dtype=np.intp)
     for lo in range(0, n, _CHUNK):
@@ -168,16 +169,14 @@ def sample_dgauss_z(spec: GaussianSpec, rng: RngHandle, size: Optional[int] = No
         if miss.size:
             idx = np.searchsorted(cdf, u[miss], side="right")
             chunk[miss] = support[np.minimum(idx, len(support) - 1)]
-    return out if size is not None else int(out[0])
+    return out
 
 
-def sample_binomial_vk(spec: BinomialSpec, rng: RngHandle, size: Optional[int] = None):
-    """V_k draw(s), literally as (sum of k fair bits) - k/2."""
+def sample_binomial_vk(spec: BinomialSpec, rng: RngHandle, size: int) -> np.ndarray:
+    """`size` int64 V_k draws, literally as (sum of k fair bits) - k/2."""
     k = spec.k
-    n = 1 if size is None else int(size)
-    bits = rng.gen.integers(0, 2, size=(n, k), dtype=np.int64)
-    out = bits.sum(axis=1) - k // 2
-    return out if size is not None else int(out[0])
+    bits = rng.gen.integers(0, 2, size=(int(size), k), dtype=np.int64)
+    return bits.sum(axis=1) - k // 2
 
 
 # ---------------------------------------------------------------------------

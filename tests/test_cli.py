@@ -73,7 +73,7 @@ def test_find_params_inadmissible(capsys):
 
 
 @pytest.mark.parametrize("r0", ["-1", "0", "nan", "inf"])
-def test_find_params_rejects_bad_r0(capsys, tmp_path, r0):
+def test_find_params_rejects_bad_r0(capsys, monkeypatch, tmp_path, r0):
     # refused before anything is written, whether or not a q is admissible
     for q_min, q_max in (("100", "1000"), ("174", "430")):
         path = tmp_path / "rows.csv"
@@ -83,6 +83,16 @@ def test_find_params_rejects_bad_r0(capsys, tmp_path, r0):
             assert code == 2 and out == ""
             assert "--r0 must be finite and positive" in err
             assert not path.exists()
+    # estimate --empirical names the flag and the value given, not the
+    # per-coefficient width r0 * sqrt(n), and refuses before any sum
+    monkeypatch.setattr(cli, "epsilon", lambda *a, **k: pytest.fail("summed"))
+    path = tmp_path / "est.csv"
+    for out_args in ((), ("--out", str(path))):
+        code, out, err = run(capsys, "estimate", "--m", "64", "--q", "193", "--empirical",
+                             "--r0", r0, *out_args)
+        assert (code, out) == (2, "")
+        assert err == "error: --r0 must be finite and positive, got %r\n" % float(r0)
+        assert not path.exists()
 
 
 def test_find_params_refuses_a_modulus_that_overflows_int64(capsys):
@@ -496,36 +506,55 @@ def test_estimate_fermat_prime_floor(capsys):
     (["gen-samples", "--p", "43", "--d", "4871", "--q", "173", "--r", "200",
       "--count", "1730", "--seed", "100", "--uniform"],
      "4983395c47fef494dc4f5d390e60f7168fe5395d51c4b22a8b3e04515f9b94a3"),
+    # the benchmark's largest degree-2 row (|K| = 2), Kyber's ring at degree
+    # 2 (|K| = 256), Dilithium's ring at degree 1 (a 256 x 16368 grid of
+    # powers) and a row with eps below 2^-1100: every column but runtime_ms
+    (["estimate", "--m", "512", "--q", "5119", "--degree", "2", "--long-run"],
+     "83e62dae69d2a571d9422f6cc46907bdf608f8e04cbb4fe4442198332ffe8758"),
+    (["estimate", "--m", "512", "--q", "3329", "--k", "4", "--degree", "2", "--long-run"],
+     "f90602eaf979792a98d52319e8753533af212a79ef12d479eff310869ea33aac"),
+    (["estimate", "--m", "512", "--q", "8380417", "--k", "4", "--long-run"],
+     "36f82fbb63cfc51de0a0fad0aef5233779384fee9ad86a40239e6aa78945db24"),
+    (["estimate", "--m", "512", "--q", "10753", "--k", "6"],
+     "ec654c77fd830feec97ee9d9b5ee282d1687b0b4fe860463c4e5d169eaffc2ce"),
 ])
 def test_frozen_output_bytes(capsys, argv, digest):
     # the 1-D sampler, the reduction map, the ring product and dump keep
-    # every draw, residue and byte: the sample files and the empirical row
+    # every draw, residue and byte: the sample files and the estimate rows
     # (runtime_ms blanked) hash as they did before each was rewritten
     code, out, _ = run(capsys, *argv)
     assert code == 0
     lines = out.splitlines(keepends=True)
     if argv[0] == "estimate":
         fields = lines[1].split(",")
-        fields[7] = ""
+        # runtime_ms blanked; a row that ends with it keeps its newline
+        fields[7] = "\n" if fields[7].endswith("\n") else ""
         lines[1] = ",".join(fields)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("kind, digest", [
-    ("coset", "3a8d07bf59ebc414c6fbc449e16178225953d44388c2c18e9355f15a89a44817"),
-    ("two-bin", "768b421673918b5fc69b08168ce21f468f8352a40cf8c0320da9d3486a54980d"),
+Q1051_FILE = ("--p", "7", "--d", "4871", "--q", "1051", "--r", "100", "--count", "10510",
+              "--seed", "1003")
+README_FILE = ("--p", "43", "--d", "4871", "--q", "173", "--r", "200", "--count", "1730",
+               "--seed", "11")
+
+
+@pytest.mark.parametrize("kind, digest, sample_args", [
+    ("coset", "3a8d07bf59ebc414c6fbc449e16178225953d44388c2c18e9355f15a89a44817", Q1051_FILE),
+    ("two-bin", "768b421673918b5fc69b08168ce21f468f8352a40cf8c0320da9d3486a54980d", Q1051_FILE),
+    ("coset", "7094c238fc39ace5094eeface50a65a8e952b99b7d22f2fabd61e2ee40369439", README_FILE),
+    ("two-bin", "4eafe0ebd736f50660d5624a497e19491831228f1b48841071b0402fbb602328", README_FILE),
 ])
-def test_frozen_attack_reports_at_q1051(capsys, tmp_path, kind, digest):
-    # the benchmark's largest attack row: the loader, the guess-count rows
-    # and the report keep every byte but the timing, on stdout and in the
-    # --out file, each written piece by piece
-    path = tmp_path / "q1051.jsonl"
+def test_frozen_attack_reports_at_q1051(capsys, tmp_path, kind, digest, sample_args):
+    # the benchmark's largest attack row and the README example: the loader,
+    # the guess-count rows and the report keep every byte but the timing, on
+    # stdout and in the --out file, each written piece by piece
+    path = tmp_path / "samples.jsonl"
     report = tmp_path / "report.json"
-    assert run(capsys, "gen-samples", "--p", "7", "--d", "4871", "--q", "1051",
-               "--r", "100", "--count", "10510", "--seed", "1003",
-               "--out", str(path))[0] == 0
+    assert run(capsys, "gen-samples", *sample_args, "--out", str(path))[0] == 0
     code, out, _ = run(capsys, "attack", "--attack", kind, "--samples", str(path))
     assert code == 0
+    assert json.loads(out)["verdict"] == "GUESS"
     code, empty, _ = run(capsys, "attack", "--attack", kind, "--samples", str(path),
                          "--out", str(report))
     assert (code, empty) == (0, "")

@@ -31,7 +31,10 @@ def test_is_prime_small_range_matches_sieve():
 def test_is_prime_known_values():
     for p in (173, 167, 193, 311, 1153, 3329, 4871, 4903, 7937, 10753, 2 ** 31 - 1):
         assert is_prime(p), p
-    for c in (0, 1, -7, 341, 561, 5583, 5887, 1000003 * 1000033, 2 ** 31 + 1):
+    # 101^2 and the base-2 strong pseudoprimes 42799, 49141 and 88357 have
+    # no factor in the small-prime list, so Miller-Rabin alone refuses them
+    for c in (0, 1, -7, 341, 561, 5583, 5887, 10201, 42799, 49141, 88357,
+              1000003 * 1000033, 2 ** 31 + 1):
         assert not is_prime(c), c
 
 
@@ -71,27 +74,15 @@ def test_smallest_nonresidue():
     assert smallest_nonresidue(173) == 2
 
 
-def test_fieldctx_validation():
-    with pytest.raises(ValueError):
-        FieldCtx(12)
-    with pytest.raises(ValueError):
-        FieldCtx(2)
-    with pytest.raises(ValueError):
-        FieldCtx(13, d_red=3)  # 3 = 4^2 mod 13 is a residue
-    with pytest.raises(ValueError):
-        FieldCtx(13, d_red=2, alpha_p=1)
-    ctx = FieldCtx(13)
-    assert ctx.d_red == 2 and ctx.alpha_p is None
-
-
 def test_for_family_frozen():
     ctx = FieldCtx.for_family(3, 2, 13)
-    assert ctx.q == 13 and ctx.d_red == 2
     assert ctx.alpha_p == 3 and pow(ctx.alpha_p, 3, 13) == 1
     ctx43 = FieldCtx.for_family(43, 4871, 173)
-    assert ctx43.d_red == 4871 % 173
     assert ctx43.alpha_p == 16
     assert pow(ctx43.alpha_p, 43, 173) == 1 and ctx43.alpha_p != 1
+    for q in (12, 17):  # not prime; prime, but 3 does not divide q - 1
+        with pytest.raises(ValueError):
+            FieldCtx.for_family(3, 2, q)
 
 
 def test_fq2_mul_frozen():

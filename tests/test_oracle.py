@@ -481,6 +481,13 @@ def test_load_matches_json_loads_reference(tmp_path, ring, count):
     assert np.array_equal(ss.a, a) and np.array_equal(ss.b, b)
     assert ss.a.dtype == ss.b.dtype == np.int64
     assert ss.a.shape == (count, ring.deg)
+    # the same file with compact separators is valid JSON, not dump's layout
+    compact = tmp_path / "compact.jsonl"
+    compact.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                               for line in path.read_text().splitlines()))
+    again = load(compact)
+    assert again.header == ss.header
+    assert np.array_equal(again.a, a) and np.array_equal(again.b, b)
 
 
 def _first_a(line, new):
