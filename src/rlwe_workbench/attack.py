@@ -40,7 +40,7 @@ coset_attack
 
 Default thresholds are family-wise: a run makes q (coset) or q^2 (two-bin)
 independent-ish tests, so per-test significance is scaled to keep the
-whole-run false-flag probability near 0.01.  Pass an explicit beta_chi to
+whole-run false-flag probability near 0.01.  Pass the keyword beta_chi to
 override (e.g. the single-test 0.99 quantile critical_value(q-1, 0.99)).
 
 Both attacks run in the calling process: a process pool measured slower
@@ -95,17 +95,6 @@ def critical_value(dof: int, confidence: float) -> float:
 
 
 @dataclass
-class AttackConfig:
-    """beta_chi and min_samples default per-attack when left as None."""
-    beta_chi: Optional[float] = None
-    min_samples: Optional[int] = None
-
-    def __post_init__(self):
-        if self.beta_chi is not None and not self.beta_chi > 0:
-            raise ValueError("beta_chi must be positive")
-
-
-@dataclass
 class AttackOutcome:
     """scores is (values, index): the score of guess i is values[index[i]].
     index is the int32 count matrix in report order (two-bin) or
@@ -156,6 +145,11 @@ def _verdict(candidates: List[Tuple[int, int]]):
     if len(candidates) == 1:
         return VERDICT_GUESS, candidates[0]
     return VERDICT_INSUFFICIENT, None
+
+
+def _check_beta_chi(beta_chi: Optional[float]) -> None:
+    if beta_chi is not None and not beta_chi > 0:
+        raise ValueError("beta_chi must be positive")
 
 
 def _rho_batch(samples: SampleSet):
@@ -214,16 +208,17 @@ def default_beta_coset(q: int) -> float:
     return critical_value(q - 1, 1.0 - 0.01 / q)
 
 
-def coset_attack(samples: SampleSet,
-                 config: Optional[AttackConfig] = None) -> AttackOutcome:
-    """Algorithm: q coset guesses, modal m_t recovery, chi-square flagging."""
+def coset_attack(samples: SampleSet, *, beta_chi: Optional[float] = None,
+                 min_samples: Optional[int] = None) -> AttackOutcome:
+    """Algorithm: q coset guesses, modal m_t recovery, chi-square flagging.
+    beta_chi and min_samples default to default_beta_coset(q) and 5q."""
     t0 = time.perf_counter()
-    config = config or AttackConfig()
+    _check_beta_chi(beta_chi)
     q = samples.ring.q
     a1, a2, b2 = _rho_batch(samples)
     usable = int(np.count_nonzero(a2))
-    beta = config.beta_chi if config.beta_chi is not None else default_beta_coset(q)
-    min_samples = config.min_samples if config.min_samples is not None else 5 * q
+    beta = beta_chi if beta_chi is not None else default_beta_coset(q)
+    min_samples = min_samples if min_samples is not None else 5 * q
     if usable == 0 or usable < min_samples:
         return AttackOutcome(VERDICT_INSUFFICIENT, None,
                              np.unique(np.zeros(q), return_inverse=True), usable, 0,
@@ -285,21 +280,21 @@ def default_beta_two_bin(q: int, sample_count: int) -> float:
     return float(_two_bin_stat(c_hi - 0.5, sample_count, q))
 
 
-def two_bin_attack(samples: SampleSet,
-                   config: Optional[AttackConfig] = None) -> AttackOutcome:
-    """All q^2 guesses g, two bins per guess: residual in F_q or not."""
+def two_bin_attack(samples: SampleSet, *, beta_chi: Optional[float] = None,
+                   min_samples: Optional[int] = None) -> AttackOutcome:
+    """All q^2 guesses g, two bins per guess: residual in F_q or not.
+    beta_chi and min_samples default to default_beta_two_bin and 5q."""
     t0 = time.perf_counter()
-    config = config or AttackConfig()
+    _check_beta_chi(beta_chi)
     q = samples.ring.q
     m = len(samples)
     a1, a2, b2 = _rho_batch(samples)
     # at least one record, whatever the override: the statistic divides by m
-    min_samples = max(config.min_samples if config.min_samples is not None else 5 * q, 1)
+    min_samples = max(min_samples if min_samples is not None else 5 * q, 1)
     if m < min_samples:
         raise ValueError("two-bin attack needs at least %d samples, got %d"
                          % (min_samples, m))
-    beta = (config.beta_chi if config.beta_chi is not None
-            else default_beta_two_bin(q, m))
+    beta = beta_chi if beta_chi is not None else default_beta_two_bin(q, m)
     # with a1 and a2 swapped, row u of the counts holds the guesses (u, v),
     # so the filled matrix is the report index u*q + v; the score is a
     # function of that bin-1 count, so it is computed once per count

@@ -21,12 +21,13 @@ import argparse
 import contextlib
 import math
 import sys
+import time
 
 from . import family as family_mod
 from . import oracle as oracle_mod
-from .attack import AttackConfig, coset_attack, two_bin_attack
-from .estimator import (_LONG_RUN_FIELD, EMPIRICAL_CONFIDENCE, empirical_uniformity,
-                        epsilon, epsilon_deg2)
+from .attack import coset_attack, critical_value, two_bin_attack
+from .estimator import (_LONG_RUN_FIELD, beta_gauss, empirical_uniformity, epsilon,
+                        epsilon_deg2, theoretical_bound)
 from .oracle import RlweInstance, SampleFileError
 from .sampling import MAX_TAIL_CUT, BinomialSpec, GaussianSpec, WidthError
 
@@ -123,9 +124,8 @@ def cmd_gen_samples(args) -> int:
 
 def cmd_attack(args) -> int:
     sample_set = oracle_mod.load(args.samples)
-    config = AttackConfig(beta_chi=args.beta_chi, min_samples=args.min_samples)
     run = coset_attack if args.attack == "coset" else two_bin_attack
-    outcome = run(sample_set, config)
+    outcome = run(sample_set, beta_chi=args.beta_chi, min_samples=args.min_samples)
     with _out_stream(args.out) as fh:
         outcome.report(fh)
     _note("verdict: %s%s  (%d samples used, %d guesses, %.1f ms)"
@@ -137,29 +137,37 @@ def cmd_attack(args) -> int:
 
 # ---------------------------------------------------------------- estimate
 
+EMPIRICAL_CONFIDENCE = 0.99  # of the --empirical chi-square test against uniform
+
+
 def cmd_estimate(args) -> int:
+    m, q, k = args.m, args.q, args.k
     if args.empirical:
         if args.degree != 1:
             raise ValueError("--empirical reduces into F_q and needs --degree 1")
         _check_r0(args.r0)
-    if args.degree == 1:
-        report = epsilon(args.m, args.q, args.k, long_run=args.long_run)
-    else:
-        report = epsilon_deg2(args.m, args.q, args.k, long_run=args.long_run)
+        if args.count is not None and args.count < 1:
+            raise ValueError("--count must be >= 1, got %d" % args.count)
+    # looked up here, at call time, so a wrapped epsilon is the one timed
+    estimate = epsilon if args.degree == 1 else epsilon_deg2
+    t0 = time.perf_counter()
+    log2_eps = estimate(m, q, k, long_run=args.long_run)
+    runtime_ms = (time.perf_counter() - t0) * 1e3
     header = "m,q,k,degree,neg_floor_log2_eps,log2_bound,beta,runtime_ms"
     row = "%d,%d,%d,%d,%d,%s,%.6f,%.3f" % (
-        report.m, report.q, report.k, report.degree, report.neg_floor_log2_eps,
-        "" if report.log2_bound is None else "%.4f" % report.log2_bound,
-        report.beta, report.runtime_ms)
+        m, q, k, args.degree, math.floor(-log2_eps),
+        "%.4f" % theoretical_bound(m, q, k) if q < m * m else "",
+        beta_gauss(m, q), runtime_ms)
     if args.empirical:
-        count = args.count if args.count is not None else 10 * args.q
+        count = args.count if args.count is not None else 10 * q
         with _width_flag("--r0", args.r0):
-            emp = empirical_uniformity(args.m, args.q, args.r0, count, args.seed)
+            chi2 = empirical_uniformity(m, q, args.r0, count, args.seed)
+        critical = critical_value(q - 1, EMPIRICAL_CONFIDENCE)
+        uniform = "yes" if chi2 <= critical else "no"
         header += ",chi2_empirical,uniform"
-        row += ",%.4f,%s" % (emp.chi2, "yes" if emp.uniform else "no")
+        row += ",%.4f,%s" % (chi2, uniform)
         _note("uniform: %s (chi2 %.2f vs critical %.2f at %g)"
-              % ("yes" if emp.uniform else "no", emp.chi2, emp.critical,
-                 EMPIRICAL_CONFIDENCE))
+              % (uniform, chi2, critical, EMPIRICAL_CONFIDENCE))
     with _out_stream(args.out) as fh:
         fh.write(header + "\n")
         fh.write(row + "\n")

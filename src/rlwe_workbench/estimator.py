@@ -89,13 +89,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .attack import critical_value
 from .ffield import (fq2_generator, fq2_pow, fq2_power_table, is_prime, power_table,
                      root_of_unity, smallest_nonresidue)
 from .rings import CycloRing, reduce_mod_prime_batch
@@ -160,23 +157,8 @@ def _assemble_log2_eps(m: int, orbit_logs: np.ndarray) -> float:
     return math.log2(m) - 1.0 + _logsumexp2(orbit_logs)
 
 
-@dataclass
-class EstimateReport:
-    m: int
-    q: int
-    k: int
-    degree: int
-    log2_eps: float
-    log2_bound: Optional[float]
-    beta: float
-    runtime_ms: float
-
-    @property
-    def neg_floor_log2_eps(self) -> int:
-        return int(math.floor(-self.log2_eps))
-
-
-def _beta_gauss(m: int, q: int) -> float:
+def beta_gauss(m: int, q: int) -> float:
+    """beta = (1 + sqrt(q)/m)/2 of theoretical_bound."""
     return (1.0 + math.sqrt(q) / m) / 2.0
 
 
@@ -190,16 +172,11 @@ def theoretical_bound(m: int, q: int, k: int) -> float:
     _check_mk(m, k)
     if q >= m * m:
         raise ValueError("bound needs q < m^2 (beta < 1); got q=%d, m=%d" % (q, m))
-    return math.log2((q - 1) / 2.0) + (k * m / 4.0) * math.log2(_beta_gauss(m, q))
+    return math.log2((q - 1) / 2.0) + (k * m / 4.0) * math.log2(beta_gauss(m, q))
 
 
-def _bound_or_none(m: int, q: int, k: int) -> Optional[float]:
-    return theoretical_bound(m, q, k) if q < m * m else None
-
-
-def epsilon(m: int, q: int, k: int, long_run: bool = False) -> EstimateReport:
-    """eps(m, q, k) maximized over all phi(m) primitive m-th roots mod q."""
-    t0 = time.perf_counter()
+def epsilon(m: int, q: int, k: int, long_run: bool = False) -> float:
+    """log2 eps(m, q, k), maximized over all phi(m) primitive m-th roots mod q."""
     _check_mk(m, k)
     if not is_prime(q):
         raise ValueError("q=%d is not prime" % q)
@@ -211,14 +188,10 @@ def epsilon(m: int, q: int, k: int, long_run: bool = False) -> EstimateReport:
         # q = m + 1 (a Fermat prime): H is all of F_q*, and the one term is
         # prod_{z=1}^{(q-1)/2} cos(pi z / q)^k = 2^(-k(q-1)/2) exactly, which
         # an in-order float sum of logarithms misses by a few ulps
-        log2_eps = math.log2(m) - 1.0 - k * m // 2
-    else:
-        # row i, column s of the grid is alpha^i gamma^s for alpha = gamma^t:
-        # the columns are one y per coset of H in F_q*
-        log2_eps = _assemble_log2_eps(m, k * _class_logs(q, m // 2, t))
-    return EstimateReport(m, q, k, 1, log2_eps,
-                          _bound_or_none(m, q, k), _beta_gauss(m, q),
-                          (time.perf_counter() - t0) * 1e3)
+        return math.log2(m) - 1.0 - k * m // 2
+    # row i, column s of the grid is alpha^i gamma^s for alpha = gamma^t:
+    # the columns are one y per coset of H in F_q*
+    return _assemble_log2_eps(m, k * _class_logs(q, m // 2, t))
 
 
 # ---------------------------------------------------------------- degree 2
@@ -302,9 +275,8 @@ def _line_orbit_logs(m: int, q: int, k: int):
         yield np.fft.irfft(hist_hat.conj() * lam_hat, size, axis=1)[:, :big_n]
 
 
-def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateReport:
-    """Degree-2 estimate: y runs over F_{q^2} \\ {0}, trace inside the cosine."""
-    t0 = time.perf_counter()
+def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> float:
+    """Degree-2 log2 eps: y runs over F_{q^2} \\ {0}, trace inside the cosine."""
     _check_mk(m, k)
     if not is_prime(q):
         raise ValueError("q=%d is not prime" % q)
@@ -315,30 +287,19 @@ def epsilon_deg2(m: int, q: int, k: int, long_run: bool = False) -> EstimateRepo
             % (m, q, "" if near is None else " (nearest admissible q is %d)" % near))
     _check_field_size("q^2", q * q, long_run)
     block_sums = [_logsumexp2(logs) for logs in _line_orbit_logs(m, q, k)]
-    log2_eps = _assemble_log2_eps(m, np.array(block_sums))
-    return EstimateReport(m, q, k, 2, log2_eps,
-                          _bound_or_none(m, q, k), _beta_gauss(m, q),
-                          (time.perf_counter() - t0) * 1e3)
+    return _assemble_log2_eps(m, np.array(block_sums))
 
 
 # ------------------------------------------------- empirical uniformity runs
 
 _EMPIRICAL_DRAWS = 1 << 16  # coefficients drawn and reduced at a time
-EMPIRICAL_CONFIDENCE = 0.99  # of the chi-square test against uniform
 
 
-@dataclass
-class EmpiricalResult:
-    chi2: float
-    critical: float
-    uniform: bool
-
-
-def empirical_uniformity(m: int, q: int, r0: float, count: int,
-                         seed: int) -> EmpiricalResult:
+def empirical_uniformity(m: int, q: int, r0: float, count: int, seed: int) -> float:
     """Seeded experiment: draw `count` ring errors of per-coefficient width
     r0 (i.e. r = r0 * sqrt(n) before discriminant normalization), reduce
-    through rho into F_q, and chi-square the histogram against uniform.
+    through rho into F_q, and return the chi-square statistic of the
+    histogram against uniform, with q - 1 degrees of freedom.
 
     The errors are drawn and reduced _EMPIRICAL_DRAWS // n records at a
     time, all from one RngHandle(seed): the 1-D sampler spends one 64-bit
@@ -355,6 +316,4 @@ def empirical_uniformity(m: int, q: int, r0: float, count: int,
         coeffs, _ = sample_lattice_gauss_batch(ring, spec, rng, min(per, count - start))
         counts += np.bincount(reduce_mod_prime_batch(coeffs, ring), minlength=q)
     exp = count / q
-    chi2 = float(((counts - exp) ** 2).sum() / exp)
-    crit = critical_value(q - 1, EMPIRICAL_CONFIDENCE)
-    return EmpiricalResult(chi2, crit, chi2 <= crit)
+    return float(((counts - exp) ** 2).sum() / exp)

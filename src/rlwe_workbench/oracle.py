@@ -329,6 +329,18 @@ def _in_range(vec, q: int) -> bool:
     return _INT_TYPES.issuperset(map(type, vec)) and min(vec) >= 0 and max(vec) < q
 
 
+def _json_line(line: str, lineno: int, what: str):
+    """json.loads of one line, or SampleFileError at lineno.  load decodes
+    each byte that is not UTF-8 as U+FFFD, which is refused here even
+    where JSON would take it (inside a string)."""
+    if "\ufffd" in line:
+        raise SampleFileError(lineno, "a byte that is not UTF-8 (read as U+FFFD)")
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise SampleFileError(lineno, "bad %s JSON (%s)" % (what, e)) from e
+
+
 def load(path) -> SampleSet:
     """The sample set in the file at path; any fault raises SampleFileError
     at its 1-based line, the first fault in file order.
@@ -338,11 +350,8 @@ def load(path) -> SampleSet:
     pass; every other block is read one json.loads per line, each line
     checked as it is read.  A file with too few records is refused at its
     last line."""
-    with open(path) as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as e:
-            raise SampleFileError(1, "bad header JSON (%s)" % e) from e
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        header = _json_line(fh.readline(), 1, "header")
         if not isinstance(header, dict):
             raise SampleFileError(1, "header is not a JSON object")
         missing = [k for k in _HEADER_KEYS if k not in header]
@@ -385,10 +394,7 @@ def load(path) -> SampleSet:
                         continue
                     if done >= count:
                         raise SampleFileError(lineno, "more records than header count %d" % count)
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError as e:
-                        raise SampleFileError(lineno, "bad record JSON (%s)" % e) from e
+                    rec = _json_line(line, lineno, "record")
                     if not isinstance(rec, dict):
                         raise SampleFileError(lineno, "record %d is not a JSON object" % done)
                     vecs = rec.get("a"), rec.get("b")

@@ -9,7 +9,7 @@ import pytest
 import scipy.stats
 
 from reference import chi_square
-from rlwe_workbench.attack import (AttackConfig, VERDICT_GUESS,
+from rlwe_workbench.attack import (VERDICT_GUESS,
                                    VERDICT_INSUFFICIENT, VERDICT_NOT_RLWE,
                                    _BLOCK, _binom_upper_quantile, _guess_rows,
                                    _inverse_table, _two_bin_stat, _verdict,
@@ -217,19 +217,19 @@ def test_two_bin_raises_below_floor():
 
 def test_min_samples_override():
     ss = draw_rlwe(_instance(1), 25)
-    out = coset_attack(ss, AttackConfig(min_samples=15))
+    out = coset_attack(ss, min_samples=15)
     assert out.verdict == VERDICT_GUESS
     assert out.candidate == (4, 7)
     assert out.samples_used == 24  # one record lost to a2 = 0
-    out2 = two_bin_attack(ss, AttackConfig(min_samples=15))
+    out2 = two_bin_attack(ss, min_samples=15)
     assert out2.verdict == VERDICT_GUESS and out2.candidate == (4, 7)
 
 
 def test_beta_chi_override():
     ss = draw_rlwe(_instance(1), 2000)
-    hi = coset_attack(ss, AttackConfig(beta_chi=1e9))
+    hi = coset_attack(ss, beta_chi=1e9)
     assert hi.verdict == VERDICT_NOT_RLWE
-    lo = coset_attack(ss, AttackConfig(beta_chi=1e-9))
+    lo = coset_attack(ss, beta_chi=1e-9)
     assert lo.verdict == VERDICT_INSUFFICIENT
     assert len(lo.candidates) >= 13
 
@@ -394,14 +394,14 @@ def test_report_bytes_match_json_dumps(attack):
     rlwe = draw_rlwe(_instance(1), 2000)
     decoy = draw_uniform(_instance(1), 2000)
     runs = [(rlwe, None, VERDICT_GUESS), (decoy, None, VERDICT_NOT_RLWE),
-            (rlwe, AttackConfig(beta_chi=1e-9), VERDICT_INSUFFICIENT)]
+            (rlwe, 1e-9, VERDICT_INSUFFICIENT)]
     if attack is coset_attack:  # below the floor: all-zero scores
         runs.append((draw_rlwe(_instance(1), 30), None, VERDICT_INSUFFICIENT))
     # 173^2 = 29929 two-bin guesses: the array is written in two pieces
     wide = RlweInstance.generate(FamilyRing(43, 4871, 173), GaussianSpec(200.0), 1)
     runs.append((draw_uniform(wide, 1730), None, VERDICT_NOT_RLWE))
-    for samples, config, verdict in runs:
-        out = attack(samples, config)
+    for samples, beta_chi, verdict in runs:
+        out = attack(samples, beta_chi=beta_chi)
         assert out.verdict == verdict
         assert _report_text(out) == _reference_report(out)
 
@@ -430,10 +430,13 @@ def test_attack_and_report_memory_at_q1051(attack, bytes_per_cell):
     assert peak <= bytes_per_cell * q * q, peak / (q * q)
 
 
-def test_attack_config_validation():
-    with pytest.raises(ValueError):
-        AttackConfig(beta_chi=0.0)
-    with pytest.raises(ValueError):
-        AttackConfig(beta_chi=-4.0)
-    cfg = AttackConfig()
-    assert cfg.beta_chi is None and cfg.min_samples is None
+def test_attacks_refuse_a_nonpositive_beta_chi():
+    # refused before the ring is looked at: a cyclotomic set gets this
+    # message too, not the residue-degree one
+    family = draw_rlwe(_instance(1), 100)
+    cyclotomic = draw_rlwe(RlweInstance.generate(CycloRing(8, 17), GaussianSpec(8.0), 0), 100)
+    for attack in (coset_attack, two_bin_attack):
+        for samples in (family, cyclotomic):
+            for beta_chi in (0.0, -4.0, float("nan")):
+                with pytest.raises(ValueError, match="^beta_chi must be positive$"):
+                    attack(samples, beta_chi=beta_chi)

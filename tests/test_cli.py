@@ -375,6 +375,34 @@ def test_attack_file_errors(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("error: line 1: bad ring parameters (inadmissible "
                               "parameters: p=9 is not an odd prime")
+    # a byte that is not UTF-8 is a file fault at its line, not a usage error
+    run(capsys, *GEN, "--count", "30", "--out", str(bad))
+    lines = bad.read_bytes().split(b"\n")
+    lines[5] = lines[5][:10] + b"\xff" + lines[5][10:]
+    bad.write_bytes(b"\n".join(lines))
+    for attack in ("coset", "two-bin"):
+        code, out, err = run(capsys, "attack", "--attack", attack, "--samples", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "error: line 6: a byte that is not UTF-8 (read as U+FFFD)\n"
+
+
+def test_attack_refuses_a_nonpositive_beta_chi(capsys, tmp_path):
+    # refused before the attack looks at the ring: the cyclotomic file gets
+    # this message too, not the residue-degree one
+    family_file, cyclo_file = tmp_path / "family.jsonl", tmp_path / "cyclo.jsonl"
+    run(capsys, *GEN, "--count", "130", "--out", str(family_file))
+    run(capsys, "gen-samples", "--m", "8", "--q", "17", "--k", "4", "--count", "100",
+        "--out", str(cyclo_file))
+    report = tmp_path / "report.json"
+    for samples in (family_file, cyclo_file):
+        for attack in ("coset", "two-bin"):
+            for beta_chi in ("0", "-4", "nan"):
+                for out_args in ((), ("--out", str(report))):
+                    code, out, err = run(capsys, "attack", "--attack", attack, "--samples",
+                                         str(samples), "--beta-chi", beta_chi, *out_args)
+                    assert (code, out) == (2, ""), (samples, attack, beta_chi)
+                    assert err == "error: beta_chi must be positive\n"
+                    assert not report.exists()
 
 
 def test_attack_rejects_cyclotomic_samples(capsys, tmp_path):
@@ -571,7 +599,7 @@ def test_estimate_out_file(capsys, tmp_path):
     assert path.read_text().splitlines()[1].split(",")[4] == "41"
 
 
-def test_estimate_validation_exit_codes(capsys):
+def test_estimate_validation_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "estimate", "--m", "6", "--q", "13",
                        "--workers", "1")
     assert code == 2 and "power of 2" in err
@@ -588,6 +616,11 @@ def test_estimate_validation_exit_codes(capsys):
         assert code == 2 and out == "", extra
         assert needle in err, (extra, err)
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (extra, err)
+    # --count is refused beside --r0, by the flag's name, before any sum
+    monkeypatch.setattr(cli, "epsilon", lambda *a, **k: pytest.fail("summed"))
+    for count in ("0", "-5"):
+        code, out, err = run(capsys, *empirical, "--count", count)
+        assert (code, out, err) == (2, "", "error: --count must be >= 1, got %s\n" % count)
 
 
 # ----------------------------------------------------------------- parsing

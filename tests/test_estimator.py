@@ -10,10 +10,9 @@ import reference as ref
 from reference import (_brute_force_numerators, brute_force_distance, brute_force_pmf,
                        full_grid_log2_eps_deg1, full_grid_log2_eps_deg2, gauss_sum_check)
 from rlwe_workbench import estimator
-from rlwe_workbench.estimator import (EstimateReport, _class_logs, _fft_size,
-                                      _line_orbit_logs, _logsumexp2,
-                                      deg2_admissible, empirical_uniformity,
-                                      epsilon, epsilon_deg2,
+from rlwe_workbench.estimator import (_class_logs, _fft_size, _line_orbit_logs,
+                                      _logsumexp2, beta_gauss, deg2_admissible,
+                                      empirical_uniformity, epsilon, epsilon_deg2,
                                       nearest_admissible_q_deg2,
                                       theoretical_bound)
 from rlwe_workbench.attack import critical_value
@@ -24,10 +23,9 @@ from rlwe_workbench.ffield import (fq2_generator, power_table, root_of_unity,
 # ------------------------------------------------------------ exact anchors
 
 def test_tiny_instance_exact():
-    rep = epsilon(4, 5, 2)
-    assert abs(2 ** rep.log2_eps - 0.125) < 1e-12
-    assert rep.degree == 1 and (rep.m, rep.q, rep.k) == (4, 5, 2)
-    assert rep.neg_floor_log2_eps == 3
+    log2_eps = epsilon(4, 5, 2)
+    assert abs(2 ** log2_eps - 0.125) < 1e-12
+    assert math.floor(-log2_eps) == 3
 
 
 NAIVE_ROWS = [(4, 13, 2), (8, 17, 2), (4, 5, 4), (8, 41, 6)]
@@ -55,14 +53,14 @@ def test_alpha_invariance():
         roots = _primitive_roots(m, q)
         assert len(roots) == m // 2
         for alpha in roots:
-            assert abs(_naive_log2_eps(m, q, k, alpha) - epsilon(m, q, k).log2_eps) < 1e-9
+            assert abs(_naive_log2_eps(m, q, k, alpha) - epsilon(m, q, k)) < 1e-9
 
 
 def test_deg1_matches_naive_full_sum():
     """Dual route: literal sum over every y in F_q^*, no orbit collapsing."""
     for m, q, k in NAIVE_ROWS:
         alpha = _primitive_roots(m, q)[0]
-        assert abs(_naive_log2_eps(m, q, k, alpha) - epsilon(m, q, k).log2_eps) < 1e-9
+        assert abs(_naive_log2_eps(m, q, k, alpha) - epsilon(m, q, k)) < 1e-9
 
 
 def test_deg1_frozen_regression():
@@ -73,12 +71,11 @@ def test_deg1_frozen_regression():
         (512, 10753, -419.0513184622579, -175.49223613876194, 419),
     ]
     for m, q, log2_eps, log2_bound, floor in rows:
-        rep = epsilon(m, q, 2)
-        assert abs(rep.log2_eps - log2_eps) < 1e-4
-        assert abs(rep.log2_bound - log2_bound) < 1e-4
-        assert rep.neg_floor_log2_eps == floor
-        assert abs(rep.beta - (1 + math.sqrt(q) / m) / 2) < 1e-12
-        assert rep.runtime_ms >= 0.0
+        got = epsilon(m, q, 2)
+        assert abs(got - log2_eps) < 1e-4
+        assert abs(theoretical_bound(m, q, 2) - log2_bound) < 1e-4
+        assert math.floor(-got) == floor
+        assert abs(beta_gauss(m, q) - (1 + math.sqrt(q) / m) / 2) < 1e-12
 
 
 @pytest.mark.parametrize("m", [4, 16, 256, 65536])
@@ -87,11 +84,11 @@ def test_fermat_prime_one_coset_is_exact(m, k):
     # q = m + 1: one coset, prod_{z=1}^{(q-1)/2} cos(pi z / q) = +-2^(-(q-1)/2),
     # so log2 eps = log2 m - 1 - k m / 2 is an integer and its floor is exact
     exact = (m.bit_length() - 1) - 1 - k * m // 2
-    rep = epsilon(m, m + 1, k)
-    assert rep.log2_eps == exact
-    assert rep.neg_floor_log2_eps == -exact
+    log2_eps = epsilon(m, m + 1, k)
+    assert log2_eps == exact
+    assert math.floor(-log2_eps) == -exact
     if m <= 256:  # the full grid holds m/2 * m cosines
-        assert abs(rep.log2_eps - full_grid_log2_eps_deg1(m, m + 1, k)) < 1e-9
+        assert abs(log2_eps - full_grid_log2_eps_deg1(m, m + 1, k)) < 1e-9
 
 
 def test_validation():
@@ -110,7 +107,6 @@ def test_validation():
 def test_theoretical_bound():
     with pytest.raises(ValueError, match="needs q < m\\^2"):
         theoretical_bound(4, 17, 2)
-    assert epsilon(4, 17, 2).log2_bound is None
     got = theoretical_bound(64, 383, 2)
     expect = math.log2(382 / 2) + 32 * math.log2((1 + math.sqrt(383) / 64) / 2)
     assert abs(got - expect) < 1e-12
@@ -133,9 +129,9 @@ def test_logsumexp2():
 ])
 def test_eps_below_2_to_the_minus_1100_matches_full_grid(estimate, m, q, k, full_grid):
     # every term lies below 2^-1100: the sum is finite and still the full grid's
-    rep = estimate(m, q, k)
-    assert rep.log2_eps < -1100.0
-    assert abs(rep.log2_eps - full_grid(m, q, k)) < 1e-9
+    log2_eps = estimate(m, q, k)
+    assert log2_eps < -1100.0
+    assert abs(log2_eps - full_grid(m, q, k)) < 1e-9
 
 
 @pytest.mark.parametrize("block", [estimator._CLASS_BLOCK, 64])
@@ -230,7 +226,7 @@ DEG2_REPINNED = {
 
 @pytest.mark.parametrize("estimate, m, q, k, bits", PINNED_LOG2_EPS)
 def test_log2_eps_bits_pinned(estimate, m, q, k, bits):
-    got = estimate(m, q, k, long_run=True).log2_eps
+    got = estimate(m, q, k, long_run=True)
     assert float.hex(got) == DEG2_REPINNED.get(bits, bits)
     assert abs(got - float.fromhex(bits)) < 1e-12
 
@@ -261,13 +257,13 @@ def _naive_deg2(m: int, q: int, k: int) -> float:
 def test_deg2_matches_naive_full_sum():
     # (8, 13) and (16, 41): q = 1 mod 4, so K = H ∩ F_q^* is larger than {+-1}
     for m, q in [(8, 3), (8, 5), (16, 7), (8, 13), (16, 41)]:
-        assert abs(_naive_deg2(m, q, 2) - epsilon_deg2(m, q, 2).log2_eps) < 1e-9
+        assert abs(_naive_deg2(m, q, 2) - epsilon_deg2(m, q, 2)) < 1e-9
 
 
 def test_deg2_small_frozen():
-    assert abs(epsilon_deg2(8, 3, 2).log2_eps - (-4.0)) < 1e-9
-    assert abs(epsilon_deg2(8, 5, 2).log2_eps - (-1.8300749985576887)) < 1e-9
-    assert abs(epsilon_deg2(16, 7, 2).log2_eps - (-5.245112497836532)) < 1e-9
+    assert abs(epsilon_deg2(8, 3, 2) - (-4.0)) < 1e-9
+    assert abs(epsilon_deg2(8, 5, 2) - (-1.8300749985576887)) < 1e-9
+    assert abs(epsilon_deg2(16, 7, 2) - (-5.245112497836532)) < 1e-9
 
 
 def test_deg2_admissibility():
@@ -300,30 +296,27 @@ def test_deg2_refusal_without_a_suggestion(m, q):
 def test_deg2_long_run_gate():
     with pytest.raises(ValueError, match="long_run=True"):
         epsilon_deg2(256, 1279, 2)
-    rep = epsilon_deg2(256, 1279, 2, long_run=True)
-    assert rep.neg_floor_log2_eps == 146
-    assert abs(rep.log2_eps - (-146.02901398301643)) < 1e-4
+    log2_eps = epsilon_deg2(256, 1279, 2, long_run=True)
+    assert math.floor(-log2_eps) == 146
+    assert abs(log2_eps - (-146.02901398301643)) < 1e-4
     # q^2 below the desk-scale threshold runs without the flag
-    assert epsilon_deg2(128, 1151, 2).neg_floor_log2_eps == 49
+    assert math.floor(-epsilon_deg2(128, 1151, 2)) == 49
 
 
 def test_deg1_long_run_gate():
     # one field-size budget for both degrees: q at degree 1
-    assert epsilon(1024, 1492993, 2).degree == 1  # just below 1.5e6
+    assert math.isfinite(epsilon(1024, 1492993, 2))  # just below 1.5e6
     with pytest.raises(ValueError, match="q = 1502209 exceeds the desk-scale budget"):
         epsilon(1024, 1502209, 2)
-    rep = epsilon(1024, 1502209, 2, long_run=True)
-    assert math.isfinite(rep.log2_eps) and rep.neg_floor_log2_eps > 0
+    log2_eps = epsilon(1024, 1502209, 2, long_run=True)
+    assert math.isfinite(log2_eps) and math.floor(-log2_eps) > 0
 
 
 def test_deg2_frozen_regression():
-    r1 = epsilon_deg2(64, 383, 2)
-    assert abs(r1.log2_eps - (-14.464158355653684)) < 1e-4
-    assert abs(r1.log2_bound - (-12.105134667637945)) < 1e-4
-    assert r1.degree == 2
-    r2 = epsilon_deg2(128, 1151, 2)
-    assert abs(r2.log2_eps - (-49.17846222540215)) < 1e-4
-    assert abs(r2.log2_bound - (-33.12414497092587)) < 1e-4
+    assert abs(epsilon_deg2(64, 383, 2) - (-14.464158355653684)) < 1e-4
+    assert abs(theoretical_bound(64, 383, 2) - (-12.105134667637945)) < 1e-4
+    assert abs(epsilon_deg2(128, 1151, 2) - (-49.17846222540215)) < 1e-4
+    assert abs(theoretical_bound(128, 1151, 2) - (-33.12414497092587)) < 1e-4
 
 
 @pytest.mark.parametrize("m, q, k", [
@@ -378,7 +371,7 @@ def test_brute_force_pmf_frozen():
 
 def test_brute_force_distance_exact():
     assert brute_force_distance(4, 5, 2) == 0.05
-    assert brute_force_distance(4, 5, 2) <= 2 ** epsilon(4, 5, 2).log2_eps + 1e-12
+    assert brute_force_distance(4, 5, 2) <= 2 ** epsilon(4, 5, 2) + 1e-12
 
 
 def test_brute_force_every_primitive_root_same_counts():
@@ -404,7 +397,7 @@ def test_distance_bounded_by_estimate():
     # has no float, so the one final division is int / int
     for m, q, k in [(4, 13, 2), (8, 17, 2), (64, 193, 2), (128, 1153, 2), (128, 1153, 16)]:
         delta = brute_force_distance(m, q, k)
-        assert 0.0 < delta and -math.log2(delta) >= -epsilon(m, q, k).log2_eps
+        assert 0.0 < delta and -math.log2(delta) >= -epsilon(m, q, k)
 
 
 def test_gauss_sum_check():
@@ -433,10 +426,6 @@ def test_root_of_unity_product_identity():
 
 
 def test_empirical_uniformity():
-    res = empirical_uniformity(64, 193, math.sqrt(2 * math.pi), 20000, 0)
-    assert res.uniform is True
-    assert res.critical == critical_value(192, 0.99)
-    assert 100.0 < res.chi2 < res.critical
-    narrow = empirical_uniformity(64, 193, 0.05, 20000, 0)
-    assert narrow.uniform is False
-    assert narrow.chi2 > 10000.0
+    chi2 = empirical_uniformity(64, 193, math.sqrt(2 * math.pi), 20000, 0)
+    assert 100.0 < chi2 < critical_value(192, 0.99)
+    assert empirical_uniformity(64, 193, 0.05, 20000, 0) > 10000.0

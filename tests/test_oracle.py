@@ -581,6 +581,21 @@ def test_load_refuses_leading_zero_and_overflow_at_their_line(tmp_path, where):
     assert ei.value.line == where + 2
 
 
+@pytest.mark.parametrize("lineno", [1, 6, 1501])  # the header, the first block, the second
+@pytest.mark.parametrize("where", ["in a key", "in place of the closing brace"])
+def test_load_refuses_a_byte_that_is_not_utf8_at_its_line(tmp_path, lineno, where):
+    # in a key the line is still JSON once the byte is read as U+FFFD
+    path = _file(tmp_path, BIG, 2100)
+    lines = path.read_bytes().split(b"\n")
+    line = lines[lineno - 1]
+    lines[lineno - 1] = (line[:2] + b"\xff" + line[2:] if where == "in a key"
+                         else line[:-1] + b"\xff")
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(SampleFileError, match=r"^line %d: a byte that is not UTF-8 "
+                       r"\(read as U\+FFFD\)$" % lineno):
+        load(path)
+
+
 def test_canonical_file_makes_no_per_record_json_call(tmp_path, monkeypatch):
     path = _file(tmp_path, BIG, 2049)
     calls = []
