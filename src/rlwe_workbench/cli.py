@@ -9,16 +9,18 @@ Sub-commands and frozen machine-output formats (stdout or --out):
   estimate      CSV: m,q,k,degree,neg_floor_log2_eps,log2_bound,beta,
                 runtime_ms  (--empirical appends chi2_empirical,uniform)
 
-Human-readable notes go to stderr so machine output pipes cleanly.  Every
-run is deterministic under fixed --seed (timing fields excluded).  Exit
-codes: 0 success, 1 runtime/file failure (out of memory included), 2
-usage or validation error.
+`main` parses with one parser per process, built on its first call, and
+looks the command function up by name at each call.  Human-readable notes
+go to stderr so machine output pipes cleanly.  Every run is deterministic
+under fixed --seed (timing fields excluded).  Exit codes: 0 success, 1
+runtime/file failure (out of memory included), 2 usage or validation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 import time
@@ -179,6 +181,7 @@ def cmd_estimate(args) -> int:
 _WORKERS_HELP = "accepted for compatibility and ignored: every subcommand runs in one process"
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rlwe-workbench",
@@ -197,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--r0", type=float, default=1.0,
                     help="normalized width the suggested r column targets")
     fp.add_argument("--out", help="CSV path (default stdout)")
-    fp.set_defaults(func=cmd_find_params)
+    fp.set_defaults(handler="cmd_find_params")
 
     gs = sub.add_parser("gen-samples", help="generate an RLWE or decoy sample file")
     gs.add_argument("--p", type=int, help="family ring: odd prime p")
@@ -211,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--uniform", action="store_true", help="uniform decoy set")
     gs.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     gs.add_argument("--out", help="sample file path (default stdout)")
-    gs.set_defaults(func=cmd_gen_samples)
+    gs.set_defaults(handler="cmd_gen_samples")
 
     at = sub.add_parser("attack", help="run a chi-square attack on a sample file")
     at.add_argument("--attack", choices=("two-bin", "coset"), required=True)
@@ -221,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     at.add_argument("--min-samples", type=int, help="usable-sample floor (default 5q)")
     at.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     at.add_argument("--out", help="JSON report path (default stdout)")
-    at.set_defaults(func=cmd_attack)
+    at.set_defaults(handler="cmd_attack")
 
     es = sub.add_parser("estimate", help="cyclotomic security estimate")
     es.add_argument("--m", type=int, required=True, help="2-power conductor")
@@ -240,18 +243,17 @@ def _build_parser() -> argparse.ArgumentParser:
     es.add_argument("--seed", type=int, default=0, help="empirical seed (default 0)")
     es.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     es.add_argument("--out", help="CSV path (default stdout)")
-    es.set_defaults(func=cmd_estimate)
+    es.set_defaults(handler="cmd_estimate")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)  # by name: a wrapped or patched cmd_* runs
     except SampleFileError as exc:
         _note("error: %s" % exc)
         return 1

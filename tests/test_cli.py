@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, plumbing, and exit codes."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -549,16 +550,19 @@ def test_estimate_fermat_prime_floor(capsys):
 def test_frozen_output_bytes(capsys, argv, digest):
     # the 1-D sampler, the reduction map, the ring product and dump keep
     # every draw, residue and byte: the sample files and the estimate rows
-    # (runtime_ms blanked) hash as they did before each was rewritten
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    lines = out.splitlines(keepends=True)
-    if argv[0] == "estimate":
-        fields = lines[1].split(",")
-        # runtime_ms blanked; a row that ends with it keeps its newline
-        fields[7] = "\n" if fields[7].endswith("\n") else ""
-        lines[1] = ",".join(fields)
-    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+    # (runtime_ms blanked) hash as they did before each was rewritten; a
+    # second call in the same process, through the same parser, does too
+    # (the slower --long-run and --empirical rows run once)
+    for _ in range(1 if {"--long-run", "--empirical"} & set(argv) else 2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        if argv[0] == "estimate":
+            fields = lines[1].split(",")
+            # runtime_ms blanked; a row that ends with it keeps its newline
+            fields[7] = "\n" if fields[7].endswith("\n") else ""
+            lines[1] = ",".join(fields)
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
 
 Q1051_FILE = ("--p", "7", "--d", "4871", "--q", "1051", "--r", "100", "--count", "10510",
@@ -630,3 +634,30 @@ def test_help_and_usage_codes(capsys):
     assert run(capsys)[0] == 2  # a sub-command is required
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "attack", "--attack", "sideways", "--samples", "x")[0] == 2
+
+
+def test_one_parser_per_process(capsys, monkeypatch, tmp_path):
+    # after the first cli.main call has built (or found) the parser, no
+    # further call constructs one: not another command, a usage error or
+    # --help
+    assert run(capsys, "estimate", "--m", "64", "--q", "193")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    samples = tmp_path / "s.jsonl"
+    for argv, expected in [
+            (("find-params", "--p", "43", "--d", "4871", "--q-min", "100",
+              "--q-max", "200"), 0),
+            (GEN + ("--out", str(samples)), 0),
+            (("attack", "--attack", "coset", "--samples", str(samples)), 0),
+            (("estimate", "--m", "64", "--q", "193"), 0),
+            (("estimate", "--m", "64"), 2),
+            (("--help",), 0),
+            (("attack", "--help"), 0)]:
+        assert run(capsys, *argv)[0] == expected, argv
+    assert built == []
