@@ -31,7 +31,7 @@ from .attack import coset_attack, critical_value, two_bin_attack
 from .estimator import (_LONG_RUN_FIELD, beta_gauss, empirical_uniformity, epsilon,
                         epsilon_deg2, theoretical_bound)
 from .oracle import RlweInstance, SampleFileError
-from .sampling import MAX_TAIL_CUT, BinomialSpec, GaussianSpec, WidthError
+from .sampling import MAX_TAIL_CUT, MIN_WIDTH, BinomialSpec, GaussianSpec, WidthError
 
 
 @contextlib.contextmanager
@@ -49,11 +49,14 @@ def _note(msg: str) -> None:
 
 @contextlib.contextmanager
 def _width_flag(flag: str, value):
-    """Word the sampler's too-wide refusal by the flag and the value given,
-    not by the per-coordinate width the sampler derived from it."""
+    """Word the sampler's too-narrow or too-wide refusal by the flag and the
+    value given, not by the per-coordinate width the sampler derived from it."""
     try:
         yield
-    except WidthError:
+    except WidthError as exc:
+        if exc.narrow:
+            raise ValueError("%s %g is too narrow to sample: a coordinate's width "
+                             "would fall below %g" % (flag, value, MIN_WIDTH)) from None
         raise ValueError("%s %g is too wide to sample: a coordinate's tail cut "
                          "would exceed %d" % (flag, value, MAX_TAIL_CUT)) from None
 

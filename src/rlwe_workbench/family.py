@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from .ffield import is_prime, legendre
+from .ffield import euler_criterion, is_prime
 from .rings import CycloRing, FamilyRing, Ring
 
 _TRIAL_LIMIT = 10 ** 6
@@ -89,7 +89,7 @@ def violations(p: int, d: int, q: int) -> List[str]:
     else:
         if p > 2 and is_prime(p) and q % p != 1:
             out.append("q=%d is not 1 mod p=%d" % (q, p))
-        if d > 1 and legendre(d, q) != -1:
+        if d > 1 and euler_criterion(d, q) != -1:
             out.append("d=%d is a square mod q=%d" % (d, q))
     return out
 
@@ -131,7 +131,7 @@ def search_q(p: int, d: int, q_min: int, q_max: int) -> List[FamilyRing]:
     # q = 1 (mod p) narrows the scan to one residue class
     start = q_min + (-(q_min - 1)) % p
     for q in range(start, q_max + 1, p):
-        if q > 2 and is_prime(q) and legendre(d, q) == -1:
+        if q > 2 and is_prime(q) and euler_criterion(d, q) == -1:
             out.append(FamilyRing(p, d, q))
     return out
 

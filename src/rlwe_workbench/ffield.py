@@ -55,10 +55,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_NOT_ODD_PRIME = "legendre: modulus %d is not an odd prime"
+
+
 def legendre(a: int, q: int) -> int:
     """Legendre symbol (a/q) in {-1, 0, +1} for an odd prime q."""
-    if q == 2 or not is_prime(q):
-        raise ValueError("legendre: modulus %d is not an odd prime" % q)
+    if not is_prime(q):
+        raise ValueError(_NOT_ODD_PRIME % q)
+    return euler_criterion(a, q)
+
+
+def euler_criterion(a: int, q: int) -> int:
+    """legendre(a, q) for a q the caller has already found prime, by
+    Euler's criterion a^((q-1)/2) mod q, without testing q again.  Like
+    legendre, it refuses q = 2."""
+    if q == 2:
+        raise ValueError(_NOT_ODD_PRIME % q)
     a %= q
     if a == 0:
         return 0
@@ -67,11 +79,13 @@ def legendre(a: int, q: int) -> int:
 
 
 def smallest_nonresidue(q: int) -> int:
-    """Smallest quadratic nonresidue mod an odd prime q."""
+    """Smallest quadratic nonresidue mod an odd prime q, which is tested once."""
+    if not is_prime(q):
+        raise ValueError(_NOT_ODD_PRIME % q)
     for a in range(2, q):
-        if legendre(a, q) == -1:
+        if euler_criterion(a, q) == -1:
             return a
-    raise ValueError("no nonresidue found mod %d" % q)  # unreachable for odd prime
+    raise ValueError("no nonresidue found mod %d" % q)  # q = 2
 
 
 class FieldCtx:

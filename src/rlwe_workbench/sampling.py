@@ -69,10 +69,18 @@ from .rings import CycloRing, Ring
 # Largest tail cut a sampler table is built for: a support of about 2*10^6
 # integers.  Every width the attacks and estimates use cuts below 10^3.
 MAX_TAIL_CUT = 10 ** 6
+# Narrowest width sampled.  Near 1e-154, r * r underflows to 0 and the
+# tables divide by it; every width the attacks and estimates use is above 0.1.
+MIN_WIDTH = 1e-100
 
 
 class WidthError(ValueError):
-    """A Gaussian width whose tail cut would exceed MAX_TAIL_CUT."""
+    """A Gaussian width below MIN_WIDTH (`narrow`) or whose tail cut would
+    exceed MAX_TAIL_CUT."""
+
+    def __init__(self, message: str, narrow: bool):
+        super().__init__(message)
+        self.narrow = narrow
 
 
 @dataclass(frozen=True)
@@ -82,14 +90,20 @@ class GaussianSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError("GaussianSpec: width must be finite and positive, got %r" % self.r)
+            msg = "GaussianSpec: width must be finite and positive, got %r" % self.r
+            # 0 is also where a width derived from one below MIN_WIDTH underflows
+            raise WidthError(msg, narrow=True) if self.r == 0 else ValueError(msg)
 
     def cut(self) -> int:
         """Tail cut ceil(10 r) + 1: the truncated mass is below 2^-100.
-        A cut above MAX_TAIL_CUT is refused."""
+        A width below MIN_WIDTH, or a cut above MAX_TAIL_CUT, is refused."""
+        if self.r < MIN_WIDTH:
+            raise WidthError("Gaussian width %g is too narrow to sample: it is "
+                             "below %g" % (self.r, MIN_WIDTH), narrow=True)
         if not 10.0 * self.r <= MAX_TAIL_CUT - 1:
             raise WidthError("Gaussian width %g is too wide to sample: its tail cut "
-                             "ceil(10 r) + 1 exceeds %d" % (self.r, MAX_TAIL_CUT))
+                             "ceil(10 r) + 1 exceeds %d" % (self.r, MAX_TAIL_CUT),
+                             narrow=False)
         return int(math.ceil(10.0 * self.r)) + 1
 
 

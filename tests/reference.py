@@ -4,9 +4,14 @@ Nothing here imports rlwe_workbench (test_reference.py checks that), and
 every function takes plain integers, tuples or arrays, never a ring or a
 field object.  The library's pipelines run none of this code; it is the
 second route a test compares a pipeline's numbers with: embeddings and
-discriminants, exact small-case distributions, the estimator's character
-sum evaluated one term per y with no orbit collapsing, and the exact
-collapse probability of the coset attack's sqrt(d)-block.
+discriminants, and exact small-case distributions.
+
+Two computations the benchmark checks with too are not copied here.
+`checks` is bench/checks.py, loaded read-only, which imports nothing from
+the library either: the tests take the estimator's character sum
+evaluated one term per y with no orbit collapsing from
+`checks.grid_log2_eps`, and the exact collapse probability of the coset
+attack's sqrt(d)-block from `checks.collapse_probability`.
 
 Width convention of the tail bound
 ----------------------------------
@@ -17,9 +22,16 @@ the width r*sqrt(pi) there.  The mismatch is deliberate and kept inside
 `tail_bound`; its callers say which convention they pass.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_checks", Path(__file__).resolve().parents[1] / "bench" / "checks.py")
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
 
 # ------------------------------------------------- F_{q^2} as tuples of ints
 #
@@ -231,79 +243,3 @@ def brute_force_distance(m, q, k):
     numer = _brute_force_numerators(m, q, k, alpha)
     total = 2 ** (k * (m // 2))
     return sum(abs(c * q - total) for c in numer) / (2 * q * total)
-
-
-# ------------------------------------------ the estimator's sum, term by term
-
-
-def _log2_sum_exp2(logs):
-    top = float(logs.max())
-    return top + math.log2(np.exp2(logs - top).sum())
-
-
-def full_grid_log2_eps_deg1(m, q, k):
-    """log2 of (1/2) sum_{y=1}^{q-1} prod_{i<n} cos(pi alpha^i y / q)^k, one
-    term per y, for the smallest alpha with alpha^(m/2) = -1 mod q."""
-    n = m // 2
-    alpha = next(a for a in range(2, q) if pow(a, n, q) == q - 1)
-    apow = np.array([pow(alpha, i, q) for i in range(n)], dtype=np.int64)
-    y = np.arange(1, q, dtype=np.int64)
-    terms = k * np.log2(np.abs(np.cos(np.pi * (apow[:, None] * y % q) / q))).sum(axis=0)
-    return _log2_sum_exp2(terms) - 1.0
-
-
-def full_grid_log2_eps_deg2(m, q, k):
-    """log2 of (1/2) sum_{y != 0 in F_{q^2}} prod_{i=1}^{n} cos(pi Tr(alpha^i y) / q)^k,
-    one term per y.
-
-    The field is F_q[s]/(s^2 - c) for the largest non-residue c (the
-    estimator uses the smallest), Tr(u + v s) = 2u, and alpha is the first
-    element in scan order with alpha^(m/2) = -1.
-    """
-    n = m // 2
-    c = next(x for x in range(q - 1, 1, -1) if pow(x, (q - 1) // 2, q) == q - 1)
-    alpha = next((u, v) for u in range(q) for v in range(q)
-                 if fq2_pow((u, v), n, q, c) == (q - 1, 0))
-    apow = [alpha]
-    for _ in range(n - 1):
-        apow.append(fq2_mul(apow[-1], alpha, q, c))
-    a = np.array([x[0] for x in apow], dtype=np.int64)
-    bc = np.array([x[1] * c % q for x in apow], dtype=np.int64)
-    t = np.arange(q)
-    # first coordinate of alpha^i * (u + v s) is a_i u + b_i c v; the table
-    # maps that value (unreduced, in [0, 2q)) to k * log2|cos(pi Tr / q)|
-    log_cos = np.tile(k * np.log2(np.abs(np.cos(np.pi * (2 * t % q) / q))), 2)
-    from_v = bc[:, None] * t[None, :] % q
-    terms = []
-    for u in range(q):
-        row = log_cos[a[:, None] * u % q + from_v].sum(axis=0)
-        terms.append(row if u else row[1:])  # skip y = 0
-    return _log2_sum_exp2(np.concatenate(terms)) - 1.0
-
-
-# ------------------------------------------------ the coset attack's signal
-
-
-def block_collapse_probability(p, width):
-    """Exact P(e2 = 0) for e2 ~ D_{L, width}, weight exp(-||x||^2 / width^2),
-    where L is the embedded Z[zeta_p] (Gram p*I - J, i.e. sqrt(p) A*_{p-1}).
-
-    P = 1 / Theta_L(width).  L is sqrt(p) times the projection of Z^p onto
-    the sum-zero hyperplane, with squared norm p*||x||^2 - (sum x)^2.
-    Integrating the Gaussian out along the all-ones direction gives
-
-        Theta_L(w) = p / (sqrt(pi) w) * int_0^1 theta(t)^p dt,
-        theta(t)   = sum_{k in Z} exp(-p (k - t)^2 / w^2).
-
-    The integrand is smooth and 1-periodic, so the rectangle rule on 2^14
-    points converges geometrically; it is summed in log space because
-    Theta reaches 1e24 at the attack rows' printed widths.
-    """
-    a = p / (width * width)
-    t = np.arange(1 << 14) / (1 << 14)
-    cut = int(math.ceil(12.0 * width / math.sqrt(p))) + 2
-    k = np.arange(-cut, cut + 1)
-    log_theta_p = p * np.log(np.exp(-a * (k[None, :] - t[:, None]) ** 2).sum(axis=1))
-    top = log_theta_p.max()
-    log_integral = top + math.log(np.exp(log_theta_p - top).mean())
-    return math.exp(-(math.log(p / (math.sqrt(math.pi) * width)) + log_integral))

@@ -1,20 +1,20 @@
 """Acceptance gate: the nine workbench-level criteria, one test each.
 
 Each test asserts what the method promises at the gate rows.  Criteria 1,
-3, 4 and 6 back their assertions with a computation from reference.py,
-which imports nothing from the library, so it is independent of the code
-under test:
+3, 4 and 6 back their assertions with a computation that imports nothing
+from the library, so it is independent of the code under test; criteria
+1, 3 and 4 take theirs from the benchmark's own check module,
+bench/checks.py, which reference.py loads as `checks`:
 
 * criterion 1 computes the exact probability that the sqrt(d)-block of the
-  error collapses to zero (`block_collapse_probability`), the only event the
-  coset attack draws signal from; the sampler's own collapse rate is tested
-  against it too;
+  error collapses to zero (`checks.collapse_probability`, a theta
+  integral), the only event the coset attack draws signal from; the
+  sampler's own collapse rate is tested against it too;
 * criteria 3 and 4 evaluate the estimator's defining character sum term by
-  term over every y != 0 (`full_grid_log2_eps_deg1`/`_deg2`), with their
-  own root search and no orbit collapsing, in F_{q^2} through the tuple
-  model of reference.py;
+  term over every y != 0 (`checks.grid_log2_eps`), with its own root
+  search and no orbit collapsing, in an F_{q^2} model of its own;
 * criterion 6 takes the exact tiny-case distance from the brute-force
-  convolution (`brute_force_distance`).
+  convolution of reference.py (`brute_force_distance`).
 
 The reported target columns of criteria 1, 3 and 4 (recovery at the
 printed widths; floors 40/97/194/431 and 31/54/159) are kept below for the
@@ -31,8 +31,7 @@ import pytest
 import scipy.stats
 
 import reference as ref
-from reference import (block_collapse_probability, brute_force_distance,
-                       full_grid_log2_eps_deg1, full_grid_log2_eps_deg2)
+from reference import brute_force_distance, checks
 from rlwe_workbench import cli
 from rlwe_workbench.attack import (VERDICT_GUESS, VERDICT_NOT_RLWE, coset_attack,
                                    critical_value, two_bin_attack)
@@ -84,9 +83,9 @@ def test_block_collapse_probability_oracle():
         norms = np.einsum("ij,jk,ik->i", z, gram, z)
         for w in widths:
             brute = 1.0 / np.exp(-norms / (w * w)).sum()
-            got = block_collapse_probability(p, w)
+            got = checks.collapse_probability(p, w)
             assert abs(got - brute) < 1e-12 * brute, (p, w, got, brute)
-    assert abs(block_collapse_probability(43, 200.0 / math.sqrt(2 * 4871)) - 0.99690) < 1e-5
+    assert abs(checks.collapse_probability(43, 200.0 / math.sqrt(2 * 4871)) - 0.99690) < 1e-5
 
 
 def test_sampler_collapse_rate_is_exact():
@@ -102,7 +101,7 @@ def test_sampler_collapse_rate_is_exact():
         for _ in range(5):
             coeffs, _ = sample_lattice_gauss_batch(ring, GaussianSpec(r), rng, 20_000)
             collapsed += int((~coeffs[:, p - 1:].any(axis=1)).sum())
-        exact = block_collapse_probability(p, r / math.sqrt(2 * d))
+        exact = checks.collapse_probability(p, r / math.sqrt(2 * d))
         pvalue = scipy.stats.binomtest(collapsed, 100_000, exact).pvalue
         assert pvalue > 1e-4, (p, r, collapsed, exact, pvalue)
 
@@ -122,7 +121,7 @@ def test_criterion_1_coset_recovery_at_printed_widths():
     for p, d, q, printed_r, n in ATTACK_ROWS:
         ring = FamilyRing(p, d, q)
         for r in (printed_r, RECOVERY_WIDTH):
-            collapse = block_collapse_probability(p, r / math.sqrt(2 * d))
+            collapse = checks.collapse_probability(p, r / math.sqrt(2 * d))
             hits = wrong = 0
             verdicts = Counter()
             for seed in range(10):
@@ -175,7 +174,7 @@ def test_criterion_3_degree1_estimator_table(deg1_reports):
     logs, total_s = deg1_reports
     assert total_s < 900.0
     got = {(m, q): math.floor(-logs[(m, q)]) for m, q, _ in DEG1_ROWS}
-    grid = {(m, q): full_grid_log2_eps_deg1(m, q, 2) for m, q, _ in DEG1_ROWS}
+    grid = {(m, q): checks.grid_log2_eps(m, q, 2, 1) for m, q, _ in DEG1_ROWS}
     rows = ["(%d,%d): estimator %d, full grid %d (log2 %.6f), reported target %d"
             % (m, q, got[(m, q)], math.floor(-grid[(m, q)]), grid[(m, q)], want)
             for m, q, want in DEG1_ROWS]
@@ -194,7 +193,7 @@ def test_criterion_4_degree2_estimator_table(deg2_reports):
     assert nearest_admissible_q_deg2(512, 5583) == 5119
     all_rows = DEG2_ROWS + [DEG2_LONG_RUN]
     got = {(m, q): math.floor(-deg2_reports[(m, q)]) for m, q, _ in all_rows}
-    grid = {(m, q): full_grid_log2_eps_deg2(m, q, 2) for m, q, _ in all_rows}
+    grid = {(m, q): checks.grid_log2_eps(m, q, 2, 2) for m, q, _ in all_rows}
     rows = ["(%d,%d): estimator %d, full grid %d (log2 %.6f), reported target %d"
             % (m, q, got[(m, q)], math.floor(-grid[(m, q)]), grid[(m, q)], want)
             for m, q, want in all_rows]

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,30 @@ def test_gen_samples_validation(capsys, tmp_path):
         assert len(err.splitlines()) == 1, (argv, err)
         assert "5e+11" not in err and "4.08248e+299" not in err, (argv, err)
         assert not path.exists(), argv
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("gen-samples", "--p", "43", "--d", "4871", "--q", "173", "--r", "1e-300",
+      "--count", "5", "--seed", "1"), "--r 1e-300 is too narrow to sample"),
+    (("gen-samples", "--m", "8", "--q", "17", "--r", "1e-300", "--count", "3",
+      "--seed", "1"), "--r 1e-300 is too narrow to sample"),
+    # the e2 block's width r / sqrt(2 d p) underflows to 0 on the way
+    (("gen-samples", "--p", "43", "--d", "4871", "--q", "173", "--r", "5e-324",
+      "--count", "5", "--seed", "1"), "--r 4.94066e-324 is too narrow to sample"),
+    (("estimate", "--m", "64", "--q", "193", "--empirical", "--r0", "1e-300"),
+     "--r0 1e-300 is too narrow to sample"),
+], ids=["family", "cyclo", "family-underflow", "empirical"])
+def test_narrow_widths_refused_by_flag(capsys, tmp_path, argv, needle):
+    # below MIN_WIDTH the sampler's tables would divide by r * r, which
+    # underflows to 0 (the family rejection loop then never ends), so each
+    # command refuses at once, by the flag and the value given
+    path = tmp_path / "out"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: %s: a coordinate's width would fall below 1e-100\n" % needle
+    assert not path.exists()
 
 
 def test_gen_samples_refuses_a_modulus_that_overflows_int64(capsys, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 import reference as ref
 from reference import (_brute_force_numerators, brute_force_distance, brute_force_pmf,
-                       full_grid_log2_eps_deg1, full_grid_log2_eps_deg2, gauss_sum_check)
+                       checks, gauss_sum_check)
 from rlwe_workbench import estimator
 from rlwe_workbench.estimator import (_class_logs, _fft_size, _line_orbit_logs,
                                       _logsumexp2, beta_gauss, deg2_admissible,
@@ -88,7 +88,7 @@ def test_fermat_prime_one_coset_is_exact(m, k):
     assert log2_eps == exact
     assert math.floor(-log2_eps) == -exact
     if m <= 256:  # the full grid holds m/2 * m cosines
-        assert abs(log2_eps - full_grid_log2_eps_deg1(m, m + 1, k)) < 1e-9
+        assert abs(log2_eps - checks.grid_log2_eps(m, m + 1, k, 1)) < 1e-9
 
 
 def test_validation():
@@ -122,16 +122,16 @@ def test_logsumexp2():
     assert abs(got - (-699.0)) < 1e-9
 
 
-@pytest.mark.parametrize("estimate, m, q, k, full_grid", [
-    (epsilon, 512, 10753, 6, full_grid_log2_eps_deg1),
-    (epsilon, 512, 10753, 16, full_grid_log2_eps_deg1),
-    (epsilon_deg2, 128, 1151, 60, full_grid_log2_eps_deg2),
+@pytest.mark.parametrize("estimate, m, q, k, degree", [
+    pytest.param(epsilon, 512, 10753, 6, 1, id="epsilon-512-10753-6-full_grid_deg1"),
+    pytest.param(epsilon, 512, 10753, 16, 1, id="epsilon-512-10753-16-full_grid_deg1"),
+    pytest.param(epsilon_deg2, 128, 1151, 60, 2, id="epsilon_deg2-128-1151-60-full_grid_deg2"),
 ])
-def test_eps_below_2_to_the_minus_1100_matches_full_grid(estimate, m, q, k, full_grid):
+def test_eps_below_2_to_the_minus_1100_matches_full_grid(estimate, m, q, k, degree):
     # every term lies below 2^-1100: the sum is finite and still the full grid's
     log2_eps = estimate(m, q, k)
     assert log2_eps < -1100.0
-    assert abs(log2_eps - full_grid(m, q, k)) < 1e-9
+    assert abs(log2_eps - checks.grid_log2_eps(m, q, k, degree)) < 1e-9
 
 
 @pytest.mark.parametrize("block", [estimator._CLASS_BLOCK, 64])

@@ -5,6 +5,8 @@ import math
 import pytest
 
 import reference as ref
+from rlwe_workbench import family, ffield
+from rlwe_workbench.ffield import is_prime
 from rlwe_workbench.family import (UndecidedError, extend_d, is_squarefree,
                                    search_q, validate, violations)
 from rlwe_workbench.rings import FamilyRing
@@ -84,6 +86,22 @@ def test_search_q_frozen():
     assert got == sorted(got)
     for f in search_q(3, 2, 2, 100):
         assert violations(f.p, f.d, f.q) == []
+
+
+def test_each_q_is_tested_prime_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+    monkeypatch.setattr(family, "is_prime", counted)
+    monkeypatch.setattr(ffield, "is_prime", counted)
+    assert violations(43, 4871, 173) == []
+    assert calls.count(173) == 1
+    calls.clear()
+    assert [r.q for r in search_q(43, 4871, 100, 1000)] == [173, 431]
+    tested = [n for n in calls if n != 43]
+    assert len(tested) == len(set(tested)) == len(range(130, 1001, 43))
 
 
 def test_search_q_endpoints_inclusive():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from rlwe_workbench import ffield
 from rlwe_workbench.ffield import (FieldCtx, fq2_generator, fq2_mul, fq2_pow,
                                    fq2_power_table, is_prime, legendre, power_table,
                                    root_of_unity, smallest_nonresidue)
@@ -72,6 +73,17 @@ def test_smallest_nonresidue():
     assert smallest_nonresidue(17) == 3
     assert smallest_nonresidue(7) == 3
     assert smallest_nonresidue(173) == 2
+
+
+def test_smallest_nonresidue_tests_q_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+    monkeypatch.setattr(ffield, "is_prime", counted)
+    assert smallest_nonresidue(1151) == 13  # after 11 residues
+    assert calls == [1151]
 
 
 def test_for_family_frozen():

@@ -1,10 +1,12 @@
-"""The reference module stays a second route: it must not reach into the
-library it is compared with."""
+"""The reference module and the benchmark check module it loads stay a
+second route: neither may reach into the library it is compared with."""
 
 import ast
 from pathlib import Path
 
-REFERENCE = Path(__file__).resolve().parent / "reference.py"
+TESTS = Path(__file__).resolve().parent
+REFERENCE = TESTS / "reference.py"
+CHECKS = TESTS.parent / "bench" / "checks.py"
 
 
 def _imported_names(tree):
@@ -18,8 +20,15 @@ def _imported_names(tree):
             yield from (alias.name for alias in node.names)
 
 
-def test_reference_imports_nothing_from_the_library():
-    names = list(_imported_names(ast.parse(REFERENCE.read_text())))
+def _library_imports(path):
+    names = list(_imported_names(ast.parse(path.read_text())))
     assert "numpy" in names  # the parse sees the module's imports
-    bad = [n for n in names if n.startswith(".") or "rlwe_workbench" in n.split(".")]
-    assert bad == []
+    return [n for n in names if n.startswith(".") or "rlwe_workbench" in n.split(".")]
+
+
+def test_reference_imports_nothing_from_the_library():
+    assert _library_imports(REFERENCE) == []
+
+
+def test_checks_imports_nothing_from_the_library():
+    assert _library_imports(CHECKS) == []

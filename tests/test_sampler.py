@@ -10,9 +10,9 @@ import scipy.stats
 from reference import (binomial_vk_pmf, canonical_embed, cyclotomic_block_basis,
                        family_embedding, gram_matrix, tail_bound)
 from rlwe_workbench.rings import CycloRing, FamilyRing
-from rlwe_workbench.sampling import (_MIN_ACCEPT, MAX_TAIL_CUT, BinomialSpec, GaussianSpec,
-                                     RngHandle, _block_tables, _dgauss_table,
-                                     sample_binomial_vk, sample_dgauss_z,
+from rlwe_workbench.sampling import (_MIN_ACCEPT, MAX_TAIL_CUT, MIN_WIDTH, BinomialSpec,
+                                     GaussianSpec, RngHandle, WidthError, _block_tables,
+                                     _dgauss_table, sample_binomial_vk, sample_dgauss_z,
                                      sample_lattice_gauss_batch)
 
 
@@ -29,7 +29,25 @@ def test_spec_validation():
     for wide in (MAX_TAIL_CUT / 10, 1e300, 1.7e308):  # 10 r overflows at the last
         with pytest.raises(ValueError, match="too wide to sample"):
             GaussianSpec(wide).cut()
+    assert GaussianSpec(MIN_WIDTH).cut() == 2
+    with pytest.raises(WidthError, match="too narrow to sample") as exc:
+        GaussianSpec(math.nextafter(MIN_WIDTH, 0.0)).cut()
+    assert exc.value.narrow
     assert BinomialSpec(4).k == 4
+
+
+def test_narrowest_width_still_samples():
+    # at MIN_WIDTH every draw is 0 and no table over- or underflows (warnings
+    # are errors under this suite's settings)
+    assert not sample_dgauss_z(GaussianSpec(MIN_WIDTH), RngHandle(1), 1000).any()
+    # a family width whose e2 block draws at 1.001 MIN_WIDTH per coordinate
+    ring = FamilyRing(43, 4871, 173)
+    r = 1.001 * MIN_WIDTH * math.sqrt(2 * 4871 * 43)
+    coeffs, _ = sample_lattice_gauss_batch(ring, GaussianSpec(r), RngHandle(1), 50)
+    assert not coeffs.any()
+    coeffs, _ = sample_lattice_gauss_batch(CycloRing(8, 17), GaussianSpec(2 * MIN_WIDTH),
+                                           RngHandle(1), 50)
+    assert not coeffs.any()
 
 
 def test_rng_determinism_and_forking():
