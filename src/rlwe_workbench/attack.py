@@ -80,15 +80,12 @@ _BLOCK = 1 << 14
 
 
 def critical_value(dof: int, confidence: float) -> float:
-    """Chi-square quantile: exact for dof 1, Wilson-Hilferty for dof >= 2."""
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
+    """Chi-square quantile by Wilson-Hilferty, for dof >= 2: every test
+    here has q - 1 >= 4 degrees of freedom."""
+    if dof < 2:
+        raise ValueError("dof must be >= 2")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    if dof == 1:
-        # chi^2_1 = Z^2, so the quantile is an inverse-normal identity
-        z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
-        return z * z
     z = NormalDist().inv_cdf(confidence)
     t = 2.0 / (9.0 * dof)
     return dof * (1.0 - t + z * math.sqrt(t)) ** 3

@@ -61,15 +61,20 @@ def _width_flag(flag: str, value):
                          "would exceed %d" % (flag, value, MAX_TAIL_CUT)) from None
 
 
-def _check_r0(r0: float) -> None:
-    if not (math.isfinite(r0) and r0 > 0):
-        raise ValueError("--r0 must be finite and positive, got %r" % r0)
+def _check_width(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("%s must be finite and positive, got %r" % (flag, value))
+
+
+def _check_count(count) -> None:
+    if count is not None and count < 1:
+        raise ValueError("--count must be >= 1, got %d" % count)
 
 
 # ------------------------------------------------------------- find-params
 
 def cmd_find_params(args) -> int:
-    _check_r0(args.r0)
+    _check_width("--r0", args.r0)
     range_mode = args.q_min is not None or args.q_max is not None
     extend_mode = args.q is not None or args.k_max is not None
     if range_mode == extend_mode:
@@ -106,11 +111,15 @@ def _ring_and_error(args):
     elif (args.r is None) == (args.k is None):
         raise ValueError("cyclotomic sampling needs exactly one of --r or --k")
     ring = family_mod.validate_ring(args.p, args.d, args.m, args.q)
-    return ring, (GaussianSpec(args.r) if args.r is not None else BinomialSpec(args.k))
+    if args.r is None:
+        return ring, BinomialSpec(args.k)
+    _check_width("--r", args.r)
+    return ring, GaussianSpec(args.r)
 
 
 def cmd_gen_samples(args) -> int:
     ring, error = _ring_and_error(args)
+    _check_count(args.count)
     count = args.count if args.count is not None else 10 * args.q
     instance = RlweInstance.generate(ring, error, args.seed)
     if args.uniform:
@@ -150,9 +159,8 @@ def cmd_estimate(args) -> int:
     if args.empirical:
         if args.degree != 1:
             raise ValueError("--empirical reduces into F_q and needs --degree 1")
-        _check_r0(args.r0)
-        if args.count is not None and args.count < 1:
-            raise ValueError("--count must be >= 1, got %d" % args.count)
+        _check_width("--r0", args.r0)
+        _check_count(args.count)
     # looked up here, at call time, so a wrapped epsilon is the one timed
     estimate = epsilon if args.degree == 1 else epsilon_deg2
     t0 = time.perf_counter()

@@ -121,8 +121,6 @@ def _check_mk(m: int, k: int) -> None:
 
 
 def _logsumexp2(logs: np.ndarray) -> float:
-    if logs.size == 0:
-        return -math.inf
     top = float(logs.max())
     return top + math.log2(np.exp2(logs - top).sum())
 

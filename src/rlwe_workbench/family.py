@@ -89,7 +89,8 @@ def violations(p: int, d: int, q: int) -> List[str]:
     else:
         if p > 2 and is_prime(p) and q % p != 1:
             out.append("q=%d is not 1 mod p=%d" % (q, p))
-        if d > 1 and euler_criterion(d, q) != -1:
+        # q = 2 is never 1 mod an odd prime p, and Euler's criterion refuses it
+        if d > 1 and q > 2 and euler_criterion(d, q) != -1:
             out.append("d=%d is a square mod q=%d" % (d, q))
     return out
 
@@ -139,8 +140,8 @@ def search_q(p: int, d: int, q_min: int, q_max: int) -> List[FamilyRing]:
 def extend_d(p: int, q: int, d: int, k_max: int) -> List[FamilyRing]:
     """Admissible triples (p, d + 4kq, q) for k = 1..k_max.
 
-    d' = d + 4kq preserves d' mod 4 and legendre(d', q); each candidate is
-    still fully re-validated (squarefreeness and gcd can break).
+    d' = d + 4kq preserves d' mod 4 and the Legendre symbol (d'/q); each
+    candidate is still fully re-validated (squarefreeness and gcd can break).
     """
     validate(p, d, q)
     out = []

@@ -9,8 +9,9 @@ covers every modulus this project runs (Dilithium's q = 8380417 included).
 This module is the one home of the field kit the attacks and the estimator
 share: roots of unity mod q and their power tables, and in F_{q^2} one
 multiply, fq2_mul, with fq2_pow, a generator of F_{q^2}^* and (u, v) power
-tables built on it.  fq2_mul and fq2_pow take (u, v) pairs of Python ints
-or of int64 arrays alike, so the estimator's orbit walk stays vectorised.
+tables built on it.  fq2_mul takes (u, v) pairs of Python ints or of int64
+arrays alike, so a power table fills a whole stretch in one call; fq2_pow
+takes a pair of Python ints.
 """
 
 from __future__ import annotations
@@ -55,20 +56,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_NOT_ODD_PRIME = "legendre: modulus %d is not an odd prime"
-
-
-def legendre(a: int, q: int) -> int:
-    """Legendre symbol (a/q) in {-1, 0, +1} for an odd prime q."""
-    if not is_prime(q):
-        raise ValueError(_NOT_ODD_PRIME % q)
-    return euler_criterion(a, q)
+_NOT_ODD_PRIME = "modulus %d is not an odd prime"
 
 
 def euler_criterion(a: int, q: int) -> int:
-    """legendre(a, q) for a q the caller has already found prime, by
-    Euler's criterion a^((q-1)/2) mod q, without testing q again.  Like
-    legendre, it refuses q = 2."""
+    """The Legendre symbol (a/q) in {-1, 0, +1} for a q the caller has
+    already found prime, by Euler's criterion a^((q-1)/2) mod q, without
+    testing q again.  It refuses q = 2."""
     if q == 2:
         raise ValueError(_NOT_ODD_PRIME % q)
     a %= q
@@ -173,10 +167,9 @@ def fq2_mul(x, y, q: int, w: int):
 
 
 def fq2_pow(x, e: int, q: int, w: int):
-    """x^e in F_q[sqrt(w)] for e >= 0, by square and multiply, with the
-    pair types of fq2_mul; x^0 is (1, 0) in x's shape."""
-    u, v = x
-    out, base = (u * 0 + 1, v * 0), x
+    """x^e in F_q[sqrt(w)] for a pair x of Python ints and e >= 0, by
+    square and multiply."""
+    out, base = (1, 0), x
     while e:
         if e & 1:
             out = fq2_mul(out, base, q, w)

@@ -9,10 +9,10 @@ order:
     seed, count, secret_hash
 
 ring_kind is "family" or "cyclo"; p/d (family) or m (cyclo) are null when
-inapplicable.  error_kind is "gaussian", "binomial", "zero" (degenerate test
-hook) or "uniform" (decoy sets, where width_or_k is null and secret_hash is
-null).  Every subsequent line is one record {"a": [...], "b": [...]} with
-coefficients in [0, q-1], vectors of length deg.
+inapplicable.  error_kind is "gaussian", "binomial" or "uniform" (decoy
+sets, where width_or_k is null and secret_hash is null).  Every subsequent
+line is one record {"a": [...], "b": [...]} with coefficients in [0, q-1],
+vectors of length deg.
 
 The secret never appears in the file; secret_hash is the hex sha256 of the
 canonical encoding "q=<q>;coeffs=<c0>,<c1>,..." so a reported guess can be
@@ -94,7 +94,7 @@ _CHUNK = 1024  # records per generation chunk; the file bytes depend on it
 _BLOCK = 1024  # lines per block in load; nothing written depends on it
 _SECRET_INDEX = 1 << 63
 
-ErrorSpec = Union[GaussianSpec, BinomialSpec, None]
+ErrorSpec = Union[GaussianSpec, BinomialSpec]
 
 
 def secret_commitment(coeffs: np.ndarray, q: int) -> str:
@@ -104,11 +104,8 @@ def secret_commitment(coeffs: np.ndarray, q: int) -> str:
 
 @dataclass
 class RlweInstance:
-    """A ring, an error spec, a secret, and the master seed.
-
-    error None is the degenerate zero-error test hook; secret is the int64
-    coefficient vector of s.
-    """
+    """A ring, an error spec, a secret, and the master seed; secret is the
+    int64 coefficient vector of s."""
     ring: Ring
     error: ErrorSpec
     secret: np.ndarray
@@ -138,8 +135,6 @@ class SampleSet:
 
 
 def _error_fields(error: ErrorSpec):
-    if error is None:
-        return "zero", None
     if isinstance(error, GaussianSpec):
         return "gaussian", error.r
     return "binomial", error.k
@@ -147,8 +142,6 @@ def _error_fields(error: ErrorSpec):
 
 def _sample_errors(ring: Ring, error: ErrorSpec, rng: RngHandle, count: int):
     """Errors as a (count, deg) array."""
-    if error is None:
-        return np.zeros((count, ring.deg), dtype=np.int64)
     if isinstance(error, BinomialSpec):
         # coefficient-wise V_k (the estimator's model distribution)
         draws = sample_binomial_vk(error, rng, size=count * ring.deg)

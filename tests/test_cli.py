@@ -72,6 +72,10 @@ def test_find_params_inadmissible(capsys):
                        "--q-min", "2", "--q-max", "50")
     assert code == 2
     assert "p=4 is not an odd prime" in err
+    # q = 2 is prime: it is refused by the condition it fails, not by
+    # Euler's criterion, which takes no q = 2
+    assert run(capsys, "find-params", "--p", "3", "--d", "2", "--q", "2", "--k-max", "1") == (
+        2, "", "error: inadmissible parameters: q=2 is not 1 mod p=3\n")
 
 
 @pytest.mark.parametrize("r0", ["-1", "0", "nan", "inf"])
@@ -95,6 +99,15 @@ def test_find_params_rejects_bad_r0(capsys, monkeypatch, tmp_path, r0):
         assert (code, out) == (2, "")
         assert err == "error: --r0 must be finite and positive, got %r\n" % float(r0)
         assert not path.exists()
+    # gen-samples names --r the same way, on either ring and for a decoy
+    path = tmp_path / "s.jsonl"
+    for ring in (("--m", "8", "--q", "17"), ("--p", "3", "--d", "2", "--q", "13")):
+        for extra in ((), ("--uniform",)):
+            code, out, err = run(capsys, "gen-samples", *ring, "--r", r0, *extra,
+                                 "--out", str(path))
+            assert (code, out) == (2, ""), (ring, extra)
+            assert err == "error: --r must be finite and positive, got %r\n" % float(r0)
+            assert not path.exists()
 
 
 def test_find_params_refuses_a_modulus_that_overflows_int64(capsys):
@@ -168,6 +181,11 @@ def test_gen_samples_validation(capsys, tmp_path):
          "mixed ring parameters: a cyclotomic ring (m=8) takes no p or d, got p=None, d=3"),
         (("gen-samples", "--p", "3", "--d", "10", "--q", "13", "--r", "2.0"),
          "square mod q"),
+        (("gen-samples", "--p", "3", "--d", "2", "--q", "2", "--r", "1"),
+         "error: inadmissible parameters: q=2 is not 1 mod p=3\n"),
+        # --count is refused by name, as under estimate --empirical
+        (GEN + ("--count", "0"), "error: --count must be >= 1, got 0\n"),
+        (GEN + ("--count", "-5", "--uniform"), "error: --count must be >= 1, got -5\n"),
         # q = 1 mod m, but not prime
         (("gen-samples", "--m", "8", "--q", "9", "--k", "2"), "q=9 is not prime"),
         (("gen-samples", "--m", "4", "--q", "1", "--k", "2"), "q=1 is not prime"),

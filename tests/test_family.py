@@ -48,6 +48,8 @@ def test_violations_name_each_failure():
     assert violations(3, 2, 12) == ["q=12 is not prime"]
     assert violations(3, 2, 11) == ["q=11 is not 1 mod p=3"]
     assert violations(3, 10, 13) == ["d=10 is a square mod q=13"]
+    # q = 2 is prime but never 1 mod an odd p; no residue test is made
+    assert violations(3, 2, 2) == ["q=2 is not 1 mod p=3"]
 
 
 def test_validate():

@@ -46,19 +46,9 @@ def test_instance_generation_deterministic():
 
 
 def test_secret_uses_reserved_fork():
-    inst = RlweInstance.generate(R, None, seed=42)
+    inst = RlweInstance.generate(R, GaussianSpec(6.0), seed=42)
     expect = RngHandle(42).fork(1 << 63).gen.integers(0, 13, size=4, dtype=np.int64)
     assert np.array_equal(inst.secret, expect)
-
-
-def test_zero_error_records_are_exact_products():
-    inst = RlweInstance.generate(R, None, seed=5)
-    ss = draw_rlwe(inst, 50)
-    assert ss.header["error_kind"] == "zero"
-    assert ss.header["width_or_k"] is None
-    for i in range(50):
-        prod = ring_mul(ss.a[i], inst.secret, R)
-        assert np.array_equal(ss.b[i], prod % 13)
 
 
 def test_binomial_error_support():
@@ -404,7 +394,7 @@ def test_load_tolerates_blank_lines(tmp_path):
 
 
 def test_sample_set_shape_validation():
-    inst = RlweInstance.generate(R, None, seed=1)
+    inst = RlweInstance.generate(R, GaussianSpec(6.0), seed=1)
     ss = draw_rlwe(inst, 5)
     with pytest.raises(ValueError, match="record arrays"):
         SampleSet(ss.ring, ss.header, ss.a[:4], ss.b)
@@ -416,7 +406,7 @@ def test_sample_set_keeps_the_callers_ring(tmp_path):
     # the draws hand over the instance's ring unchecked; load checks the
     # header's ring, so a hand-built inadmissible ring's file is refused
     ring = FamilyRing(3, 4, 13)  # d = 4 is neither squarefree nor 2, 3 mod 4
-    inst = RlweInstance.generate(ring, None, seed=1)
+    inst = RlweInstance.generate(ring, GaussianSpec(6.0), seed=1)
     for draw in (draw_rlwe, draw_uniform):
         ss = draw(inst, 5)
         assert ss.ring is ring
@@ -428,7 +418,7 @@ def test_sample_set_keeps_the_callers_ring(tmp_path):
 
 
 def test_count_validation():
-    inst = RlweInstance.generate(R, None, seed=1)
+    inst = RlweInstance.generate(R, GaussianSpec(6.0), seed=1)
     for bad in (0, -5):
         with pytest.raises(ValueError):
             draw_rlwe(inst, bad)
@@ -444,7 +434,7 @@ BIG = FamilyRing(7, 4871, 1051)  # deg 12, coefficients of 1 to 4 digits
 
 
 def _file(tmp_path, ring, count, name="f.jsonl"):
-    inst = RlweInstance.generate(ring, None, seed=4)
+    inst = RlweInstance.generate(ring, GaussianSpec(6.0), seed=4)
     path = tmp_path / name
     _save(draw_uniform(inst, count), path)
     return path
